@@ -23,9 +23,7 @@
 use sdea_bench::runner::{bench_sdea_config, bench_seed, load_dataset, report_dir};
 use sdea_core::attr_module::AttrModule;
 use sdea_core::{AttrSequencer, CrossEncoder};
-use sdea_eval::{
-    evaluate_retrieved_blocked, evaluate_retrieved_reranked_blocked, AlignmentMetrics,
-};
+use sdea_eval::{evaluate_blocked, AlignmentMetrics, RescoreFn, Targets};
 use sdea_index::{ExactRetriever, Hit, Retriever};
 use sdea_kg::EntityId;
 use sdea_obs::json::Json;
@@ -36,6 +34,22 @@ use std::time::Instant;
 /// Blocked-evaluation block height; results are block-invariant, this just
 /// bounds resident hit lists.
 const EVAL_BLOCK: usize = 64;
+
+/// Shortlist evaluation of the test queries, optionally rescored.
+fn evaluate_shortlist<'a>(
+    retr: &'a dyn Retriever,
+    test_q: &Tensor,
+    gold: &[usize],
+    k: usize,
+    rescore: Option<&'a mut RescoreFn<'a>>,
+) -> AlignmentMetrics {
+    let targets = Targets::Shortlist { retr, k, rescore };
+    // Only a sharded target source does I/O; a shortlist cannot fail.
+    evaluate_blocked(test_q, targets, gold, EVAL_BLOCK).unwrap_or_else(|e| {
+        eprintln!("bench_rerank: shortlist evaluation failed: {e}");
+        std::process::exit(1)
+    })
+}
 
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
@@ -68,7 +82,7 @@ fn sweep_k(
 ) -> Vec<KPoint> {
     let mut points = Vec::new();
     for &k in ks {
-        let base = evaluate_retrieved_blocked(retr, test_q, gold, k, EVAL_BLOCK);
+        let base = evaluate_shortlist(retr, test_q, gold, k, None);
         let mut rescore = |start: usize, hits: Vec<Vec<Hit>>| {
             let qtok: Vec<Vec<u32>> = test_pairs[start..start + hits.len()]
                 .iter()
@@ -76,30 +90,16 @@ fn sweep_k(
                 .collect();
             ce.rerank_hits(&qtok, cache2, &hits, alpha)
         };
-        let reranked =
-            evaluate_retrieved_reranked_blocked(retr, test_q, gold, k, EVAL_BLOCK, &mut rescore);
+        let reranked = evaluate_shortlist(retr, test_q, gold, k, Some(&mut rescore));
         if smoke {
             // Rerank-off is the plain blocked path, bitwise.
-            let off = evaluate_retrieved_reranked_blocked(
-                retr,
-                test_q,
-                gold,
-                k,
-                EVAL_BLOCK,
-                &mut |_, hits| hits,
-            );
+            let mut identity = |_: usize, hits: Vec<Vec<Hit>>| hits;
+            let off = evaluate_shortlist(retr, test_q, gold, k, Some(&mut identity));
             assert_eq!(off.hits1.to_bits(), base.hits1.to_bits(), "k={k} rerank-off hits1");
             assert_eq!(off.mrr.to_bits(), base.mrr.to_bits(), "k={k} rerank-off mrr");
             // The rerank pass is deterministic: a second evaluation is
             // bitwise identical.
-            let again = evaluate_retrieved_reranked_blocked(
-                retr,
-                test_q,
-                gold,
-                k,
-                EVAL_BLOCK,
-                &mut rescore,
-            );
+            let again = evaluate_shortlist(retr, test_q, gold, k, Some(&mut rescore));
             assert_eq!(again.hits1.to_bits(), reranked.hits1.to_bits(), "k={k} rerank repeat");
             assert_eq!(again.mrr.to_bits(), reranked.mrr.to_bits(), "k={k} rerank repeat mrr");
         }
@@ -193,7 +193,8 @@ fn run(links: usize, smoke: bool) -> (Json, bool) {
     let test_rows: Vec<usize> = bundle.split.test.iter().map(|&(e, _)| e.0 as usize).collect();
     let gold: Vec<usize> = bundle.split.test.iter().map(|&(_, t)| t.0 as usize).collect();
     let test_q = h_a1.gather_rows(&test_rows);
-    let ks: &[usize] = if smoke { &[5, 10] } else { &[5, 10, 20] };
+    // Shortlist evaluation needs k >= 10 so a miss counts toward no Hits@K.
+    let ks: &[usize] = if smoke { &[10] } else { &[10, 20] };
     let points = sweep_k(
         &ce,
         &retr,

@@ -8,7 +8,7 @@
 //! and token caches:
 //!
 //! * **sharded** — `AttrModule::embed_all_spill` streams the target table
-//!   to disk shards, `evaluate_ranking_shards` ranks against the shards a
+//!   to disk shards, `evaluate_blocked` ranks against the shards a
 //!   query block at a time; the full table and the n×m similarity matrix
 //!   never exist in memory.
 //! * **full** — `embed_all` materializes the table, `cosine_matrix` the
@@ -31,7 +31,7 @@
 
 use sdea_bench::runner::report_dir;
 use sdea_core::{AttrModule, AttrSequencer, SdeaConfig};
-use sdea_eval::{cosine_matrix, evaluate_ranking, evaluate_ranking_shards, AlignmentMetrics};
+use sdea_eval::{cosine_matrix, evaluate_blocked, evaluate_ranking, AlignmentMetrics, Targets};
 use sdea_obs::json::Json;
 use sdea_obs::mem;
 use sdea_synth::{generate, DatasetProfile};
@@ -107,7 +107,7 @@ fn run_point(links: usize, scale: usize, shards_root: &std::path::Path) -> Scale
         let shards = module
             .embed_all_spill(&cache2, &mut Rng::seed_from_u64(0), &dir, scale as u64)
             .unwrap_or_else(|e| die("embedding spill failed", e));
-        evaluate_ranking_shards(&src_emb, &shards, &gold, cfg.eval_block_rows)
+        evaluate_blocked(&src_emb, Targets::Shards(&shards), &gold, cfg.eval_block_rows)
             .unwrap_or_else(|e| die("sharded evaluation failed", e))
     });
     let _ = std::fs::remove_dir_all(&dir);

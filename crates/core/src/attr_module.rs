@@ -11,7 +11,7 @@ use crate::candidates::CandidateSet;
 use crate::checkpoint::{self, Checkpointer};
 use crate::config::{Pooling, SdeaConfig};
 use crate::loss::margin_ranking_loss;
-use sdea_eval::evaluate_ranking_blocked;
+use sdea_eval::{evaluate_blocked, Targets};
 use sdea_kg::EntityId;
 use sdea_lm::{MlmPretrainer, TokenBatch, TransformerLm};
 use sdea_tensor::{
@@ -537,8 +537,10 @@ impl AttrModule {
         let src_emb = self.embed_rows(cache1, &src_rows, rng);
         let gold: Vec<usize> = valid.iter().map(|&(_, e)| e.0 as usize).collect();
         // Blocked: only an `eval_block_rows × n2` similarity slab is ever
-        // resident, bit-identical to the materialized matrix path.
-        evaluate_ranking_blocked(&src_emb, &emb2_all, &gold, self.cfg.eval_block_rows).hits1
+        // resident, bit-identical to the materialized matrix path. An
+        // in-memory table does no I/O, so the `Err` arm is unreachable.
+        let block = self.cfg.eval_block_rows;
+        evaluate_blocked(&src_emb, Targets::Table(&emb2_all), &gold, block).map_or(0.0, |m| m.hits1)
     }
 }
 

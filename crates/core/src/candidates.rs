@@ -19,8 +19,8 @@ pub struct CandidateSet {
 
 impl CandidateSet {
     /// Builds candidate lists from embeddings with the default (exact)
-    /// retrieval backend — bit-identical to the historical full-matrix
-    /// `cosine_matrix` + `top_k_rows` scan.
+    /// retrieval backend — the top-`k` columns of each row of
+    /// `cosine_matrix(src_emb, tgt_emb)`, bit for bit.
     ///
     /// `src_emb`: `[n_src, d]` embeddings of `sources`;
     /// `tgt_emb`: `[n_tgt, d]` embeddings of ALL target entities (row = id).

@@ -94,8 +94,8 @@ pub struct SdeaConfig {
     /// suites) and this never enters the config fingerprint.
     // fingerprint: excluded(spill granularity; shard composition never changes tables)
     pub embed_shard_rows: usize,
-    /// Query rows per block in blocked evaluation (`sdea_eval`'s
-    /// `evaluate_ranking_blocked` family); 0 evaluates all queries in one
+    /// Query rows per block in blocked evaluation
+    /// (`sdea_eval::evaluate_blocked`); 0 evaluates all queries in one
     /// block. Execution knob: blocked evaluation is bit-identical to the
     /// materialized-matrix path at any value, only the peak memory of the
     /// similarity block changes.

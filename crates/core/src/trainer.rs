@@ -12,7 +12,7 @@ use crate::config::SdeaConfig;
 use crate::joint::JointHead;
 use crate::loss::margin_ranking_loss;
 use crate::rel_module::{NeighborBatch, RelModule, RelVariant};
-use sdea_eval::evaluate_ranking_blocked;
+use sdea_eval::{evaluate_blocked, Targets};
 use sdea_kg::{EntityId, KnowledgeGraph};
 use sdea_tensor::{Adam, GradClip, Graph, Optimizer, ParamStore, Rng, Tensor};
 
@@ -321,7 +321,8 @@ impl RelStage {
         let src = self.full_embeddings(h_a1, true, &sources);
         let tgt = self.full_embeddings(h_a2, false, &all_targets);
         let gold: Vec<usize> = valid.iter().map(|&(_, e)| e.0 as usize).collect();
-        evaluate_ranking_blocked(&src, &tgt, &gold, block_rows).hits1
+        // An in-memory table does no I/O, so the `Err` arm is unreachable.
+        evaluate_blocked(&src, Targets::Table(&tgt), &gold, block_rows).map_or(0.0, |m| m.hits1)
     }
 }
 

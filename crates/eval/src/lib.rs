@@ -5,25 +5,23 @@
 //! Implements the paper's protocol (Section V-A2): for each source entity,
 //! target entities are ranked by cosine similarity of their embeddings; the
 //! reported metrics are Hits@1, Hits@10 and MRR over the test seed links.
-//! Also provides CSLS re-ranking (a standard hubness correction used by
-//! several baselines) and paper-style table formatting.
+//! [`evaluate_ranking`] scores a pre-computed similarity matrix;
+//! [`evaluate_blocked`] ranks query embeddings block by block against an
+//! in-memory table, a sharded table or a retriever shortlist, bitwise equal
+//! to the matrix path without ever building the matrix. Also provides
+//! paper-style table formatting and string similarity helpers.
 
 #![forbid(unsafe_code)]
 
-pub mod csls;
 pub mod metrics;
 pub mod report;
 pub mod similarity;
 pub mod strings;
 
-pub use csls::{csls_metrics_blocked, csls_rescale, csls_rescale_with_means, neighborhood_means};
 pub use metrics::{
-    evaluate_ranking, evaluate_ranking_blocked, evaluate_ranking_shards, evaluate_retrieved,
-    evaluate_retrieved_blocked, evaluate_retrieved_reranked_blocked, rank_of, AlignmentMetrics,
-    RescoreFn,
+    evaluate_blocked, evaluate_ranking, rank_of, AlignmentMetrics, RescoreFn, Targets,
 };
 pub use report::{format_table, TableRow};
 pub use similarity::{
-    argmax_cols, argmax_rows, argsort_rows_desc, cosine_matrix, desc_nan_last, top_k_indices,
-    top_k_rows, SimilarityMatrix,
+    argsort_rows_desc, cosine_matrix, desc_nan_last, top_k_indices, SimilarityMatrix,
 };

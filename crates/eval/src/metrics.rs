@@ -1,20 +1,21 @@
 //! Hits@K and MRR over similarity rankings (paper Section V-A2).
 //!
-//! Two evaluation families live here. The *materialized* path
-//! ([`evaluate_ranking`]) scores a pre-computed `n × m` similarity matrix.
-//! The *blocked* path ([`evaluate_ranking_blocked`],
-//! [`evaluate_retrieved_blocked`], [`evaluate_ranking_shards`]) walks the
-//! queries in bounded row blocks so only one `block × m` (or `block ×
-//! shard`) slab is ever resident — the full matrix never exists. Both
-//! families rank every row with the same [`rank_of`] tie rule and
-//! accumulate metrics serially in global row order through [`RankAccum`],
-//! so the blocked results are **bit-identical** to the materialized ones at
-//! any block size and any `SDEA_THREADS` budget.
+//! Two entry points live here. [`evaluate_ranking`] scores a pre-computed
+//! `n × m` similarity matrix. [`evaluate_blocked`] takes the query
+//! embeddings and a [`Targets`] source — an in-memory table, a sharded
+//! table on disk, or a retriever shortlist — and walks the queries in
+//! bounded row blocks, so only one `block × m` slab (or one block's hit
+//! lists) is ever resident and the full matrix never exists. Both rank
+//! every row with the same [`rank_of`] tie rule and accumulate metrics
+//! serially in global row order through [`RankAccum`], so the blocked
+//! results are **bit-identical** to the matrix ones at any block size and
+//! any `SDEA_THREADS` budget.
 
 use crate::similarity::{desc_nan_last, SimilarityMatrix};
-use sdea_index::Retriever;
+use sdea_index::{Hit, Retriever};
 use sdea_tensor::{EmbeddingShards, Tensor};
 use std::cmp::Ordering;
+use std::io;
 
 /// The paper's three reported metrics.
 #[derive(Copy, Clone, Debug, PartialEq, Default)]
@@ -34,13 +35,13 @@ impl AlignmentMetrics {
     }
 }
 
-/// Serial metric accumulator shared by every evaluation path. Ranks are
+/// Serial metric accumulator shared by both entry points. Ranks are
 /// integers, so the only floating-point state is the MRR sum; pushing ranks
 /// one at a time in global row order makes a blocked evaluation reproduce
 /// the one-shot f64 addition sequence exactly — that is what buys bitwise
-/// equality between the materialized and blocked paths.
+/// equality between the matrix and blocked paths.
 #[derive(Default)]
-pub(crate) struct RankAccum {
+struct RankAccum {
     rows: usize,
     h1: usize,
     h10: usize,
@@ -48,7 +49,7 @@ pub(crate) struct RankAccum {
 }
 
 impl RankAccum {
-    pub(crate) fn push(&mut self, rank: usize) {
+    fn push(&mut self, rank: usize) {
         self.rows += 1;
         if rank == 1 {
             self.h1 += 1;
@@ -59,7 +60,19 @@ impl RankAccum {
         self.mrr += 1.0 / rank as f64;
     }
 
-    pub(crate) fn finish(self) -> AlignmentMetrics {
+    /// Ranks every `m`-wide row of the score slab `scores` against its gold
+    /// column, rows fanned out across the thread budget, then pushes the
+    /// ranks serially in row order so MRR stays bit-stable.
+    fn push_slab(&mut self, scores: &[f32], m: usize, gold: &[usize]) {
+        let ranks = sdea_tensor::par_map_collect(gold.len(), m.max(1), |r| {
+            rank_of(&scores[r * m..(r + 1) * m], gold[r])
+        });
+        for rank in ranks {
+            self.push(rank);
+        }
+    }
+
+    fn finish(self) -> AlignmentMetrics {
         let n = self.rows.max(1) as f64;
         AlignmentMetrics {
             hits1: self.h1 as f64 / n,
@@ -101,6 +114,15 @@ pub fn rank_of(scores: &[f32], gold: usize) -> usize {
     rank
 }
 
+/// Validates on the calling thread that every gold index names one of `m`
+/// targets: a failure inside a parallel worker would surface as an opaque
+/// join panic instead of this message.
+fn check_gold(gold: &[usize], m: usize) {
+    for (i, &g) in gold.iter().enumerate() {
+        assert!(g < m, "evaluate_ranking: gold[{i}] column {g} out of range for {m} targets");
+    }
+}
+
 /// Evaluates a similarity matrix against gold targets: `gold[i]` is the
 /// column index of source row `i`'s true match.
 ///
@@ -110,269 +132,166 @@ pub fn rank_of(scores: &[f32], gold: usize) -> usize {
 pub fn evaluate_ranking(sim: &SimilarityMatrix, gold: &[usize]) -> AlignmentMetrics {
     assert_eq!(sim.shape()[0], gold.len(), "one gold target per source row");
     let m = sim.shape()[1];
-    // Validate on the calling thread: a failure inside a parallel worker
-    // would surface as an opaque join panic instead of this message.
-    for (i, &g) in gold.iter().enumerate() {
-        assert!(g < m, "evaluate_ranking: gold[{i}] column {g} out of range for {m} targets");
-    }
+    check_gold(gold, m);
     let _span = sdea_obs::span("eval.evaluate_ranking");
-    // Per-row ranks fan out across the thread budget; the f64 accumulation
-    // below stays serial and in row order, so MRR is bit-stable.
-    let ranks = sdea_tensor::par_map_collect(gold.len(), m.max(1), |i| {
-        rank_of(&sim.data()[i * m..(i + 1) * m], gold[i])
-    });
     let mut acc = RankAccum::default();
-    for rank in ranks {
-        acc.push(rank);
-    }
+    acc.push_slab(sim.data(), m, gold);
     acc.finish()
 }
 
-/// Blocked form of the matrix evaluation: takes the *embeddings* rather
-/// than a pre-computed similarity matrix, walks the source rows in
-/// `block_rows`-high blocks (0 means one block), and scores each `block ×
-/// m` cosine slab as it is produced — the full `n × m` matrix is never
-/// materialized.
+/// Per-block shortlist rescoring hook for [`Targets::Shortlist`]: receives
+/// the block's global starting query row and its `(target_row, score)` hit
+/// lists, returns the rescored lists (same outer length).
+pub type RescoreFn<'a> = dyn FnMut(usize, Vec<Vec<Hit>>) -> Vec<Vec<Hit>> + 'a;
+
+/// Where [`evaluate_blocked`] finds the target side of the ranking.
+pub enum Targets<'a> {
+    /// An in-memory target embedding table `[m, d]`, normalized once.
+    Table(&'a Tensor),
+    /// A target table spilled to disk shards, read one shard at a time for
+    /// every query block, so the full table is never resident either.
+    Shards(&'a EmbeddingShards),
+    /// The top-`k` shortlist of a [`Retriever`] over the target table
+    /// (retrieve-then-rerank evaluation). The gold's rank is its 1-based
+    /// position in the hit list; a gold missing from the list gets `k + 1`,
+    /// so the reported MRR is an upper bound on the full-ranking MRR. `k`
+    /// must be at least 10: a miss then ranks above 10 and counts toward
+    /// neither Hits@1 nor Hits@10, which stay exact for an exact backend.
+    ///
+    /// `rescore`, when given, replaces each block's hit lists before they
+    /// are ranked (typically a cross-encoder reranker behind a closure; this
+    /// crate deliberately does not depend on `sdea-core`). It must itself be
+    /// per-row for the block decomposition to stay exact.
+    Shortlist {
+        /// The stage-1 retriever over the target table.
+        retr: &'a dyn Retriever,
+        /// Shortlist length, at least 10.
+        k: usize,
+        /// Optional second-stage rescoring of each block's hit lists.
+        rescore: Option<&'a mut RescoreFn<'a>>,
+    },
+}
+
+impl Targets<'_> {
+    /// `(rows, width)` of the target table.
+    fn shape(&self) -> (usize, usize) {
+        match self {
+            Targets::Table(t) => {
+                assert_eq!(t.rank(), 2, "evaluate_blocked expects a rank-2 target table");
+                (t.shape()[0], t.shape()[1])
+            }
+            Targets::Shards(s) => (s.len(), s.dim()),
+            Targets::Shortlist { retr, .. } => (retr.len(), retr.dim()),
+        }
+    }
+}
+
+/// Blocked evaluation: ranks the gold target of every row of `queries`
+/// (`gold[i]` is the target row that is query `i`'s true match), walking
+/// the queries in `block_rows`-high blocks (0 means one block). Only one
+/// block's similarity slab or hit lists is resident at a time.
 ///
-/// Bit-identical to `evaluate_ranking(&cosine_matrix(src, tgt), gold)` at
-/// any block size and thread budget: row normalization and the `matmul_t`
-/// kernel are per-row/per-element operations (a block row equals the
-/// corresponding full-matrix row bitwise), [`rank_of`] is pure per row, and
-/// [`RankAccum`] replays the same serial f64 additions in global row order.
-pub fn evaluate_ranking_blocked(
-    src: &Tensor,
-    tgt: &Tensor,
+/// For [`Targets::Table`] and [`Targets::Shards`] — and for an exact
+/// [`Targets::Shortlist`] with `k = m` and an identity (or no) rescore —
+/// the result is bit-identical to
+/// `evaluate_ranking(&cosine_matrix(queries, table), gold)` at any block
+/// size, shard height and thread budget: row normalization and the
+/// `matmul_t` kernel are per-row/per-element operations (a block row equals
+/// the corresponding full-matrix row bitwise, and so does a shard's), the
+/// retriever's hit list is a stable descending sort under
+/// [`desc_nan_last`] with ties broken by lower index — exactly [`rank_of`]'s
+/// tie rule — and [`RankAccum`] replays the same serial f64 additions in
+/// global row order.
+///
+/// Only [`Targets::Shards`] does I/O, so only it can return `Err`.
+///
+/// Panics with a descriptive message on a gold index out of range, a
+/// shape mismatch, a shortlist shorter than 10, or a rescore that changes
+/// the number of hit lists.
+pub fn evaluate_blocked(
+    queries: &Tensor,
+    mut targets: Targets<'_>,
     gold: &[usize],
     block_rows: usize,
-) -> AlignmentMetrics {
-    assert_eq!(src.rank(), 2, "evaluate_ranking_blocked expects rank-2 src");
-    assert_eq!(tgt.rank(), 2, "evaluate_ranking_blocked expects rank-2 tgt");
-    assert_eq!(src.shape()[1], tgt.shape()[1], "embedding width mismatch");
-    assert_eq!(src.shape()[0], gold.len(), "one gold target per source row");
-    let m = tgt.shape()[0];
-    for (i, &g) in gold.iter().enumerate() {
-        assert!(g < m, "evaluate_ranking: gold[{i}] column {g} out of range for {m} targets");
+) -> io::Result<AlignmentMetrics> {
+    assert_eq!(queries.rank(), 2, "evaluate_blocked expects rank-2 queries");
+    assert_eq!(queries.shape()[0], gold.len(), "one gold target per query row");
+    let (m, d) = targets.shape();
+    assert_eq!(queries.shape()[1], d, "embedding width mismatch");
+    check_gold(gold, m);
+    if let Targets::Shortlist { k, .. } = targets {
+        assert!(
+            k >= 10,
+            "evaluate_blocked: shortlist k = {k}, but Hits@10 needs a shortlist of at least 10"
+        );
     }
     let _span = sdea_obs::span("eval.evaluate_ranking_blocked");
-    let n = src.shape()[0];
+    let n = queries.shape()[0];
     let block = if block_rows == 0 { n.max(1) } else { block_rows };
-    // Normalize the target side once; each source block is normalized on
-    // its own (row-wise, so block rows match the full-matrix rows bitwise).
-    let tgt_n = tgt.normalized_view();
+    // The in-memory table is normalized once here, not once per block;
+    // the other sources leave this empty.
+    let table_n = match targets {
+        Targets::Table(t) => t.normalized_view(),
+        _ => Tensor::zeros(&[0, d]),
+    };
     let mut acc = RankAccum::default();
-    let mut start = 0usize;
-    while start < n {
+    for start in (0..n).step_by(block) {
         let end = (start + block).min(n);
-        let sim_b = row_block(src, start, end).normalized_view().matmul_t(&tgt_n);
-        sdea_obs::add("eval.cosine_cells", ((end - start) * m) as u64);
-        let ranks = sdea_tensor::par_map_collect(end - start, m.max(1), |r| {
-            rank_of(&sim_b.data()[r * m..(r + 1) * m], gold[start + r])
-        });
-        for rank in ranks {
-            acc.push(rank);
-        }
-        start = end;
-    }
-    acc.finish()
-}
-
-/// Blocked matrix evaluation against a **sharded** target table: the target
-/// embeddings stream in from an [`EmbeddingShards`] spill directory one
-/// shard at a time, so neither the full target tensor nor the full `n × m`
-/// similarity matrix is ever resident. Each query block's similarity slab
-/// is assembled column-segment by column-segment (one segment per shard),
-/// then ranked exactly like the other paths.
-///
-/// Bit-identical to `evaluate_ranking(&cosine_matrix(src, &tgt.to_tensor()?),
-/// gold)` at any block size, shard height and thread budget, by the same
-/// argument as [`evaluate_ranking_blocked`] — a shard's normalized rows
-/// equal the full table's normalized rows, and every similarity cell is the
-/// same `matmul_t` dot product either way.
-pub fn evaluate_ranking_shards(
-    src: &Tensor,
-    tgt: &EmbeddingShards,
-    gold: &[usize],
-    block_rows: usize,
-) -> std::io::Result<AlignmentMetrics> {
-    assert_eq!(src.rank(), 2, "evaluate_ranking_shards expects rank-2 src");
-    assert_eq!(src.shape()[1], tgt.dim(), "embedding width mismatch");
-    assert_eq!(src.shape()[0], gold.len(), "one gold target per source row");
-    let m = tgt.len();
-    for (i, &g) in gold.iter().enumerate() {
-        assert!(g < m, "evaluate_ranking: gold[{i}] column {g} out of range for {m} targets");
-    }
-    let _span = sdea_obs::span("eval.evaluate_ranking_shards");
-    let n = src.shape()[0];
-    let block = if block_rows == 0 { n.max(1) } else { block_rows };
-    let mut acc = RankAccum::default();
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + block).min(n);
-        let qb = end - start;
-        let q_n = row_block(src, start, end).normalized_view();
-        let mut slab = vec![0.0f32; qb * m];
-        for s in 0..tgt.n_shards() {
-            let (c0, c1) = tgt.shard_range(s);
-            let w = c1 - c0;
-            let cols = q_n.matmul_t(&tgt.read_shard(s)?.normalized_view());
-            for r in 0..qb {
-                slab[r * m + c0..r * m + c1].copy_from_slice(&cols.data()[r * w..(r + 1) * w]);
+        let q = row_block(queries, start, end);
+        let gold_b = &gold[start..end];
+        match &mut targets {
+            Targets::Table(_) => {
+                sdea_obs::add("eval.cosine_cells", ((end - start) * m) as u64);
+                acc.push_slab(q.normalized_view().matmul_t(&table_n).data(), m, gold_b);
+            }
+            Targets::Shards(shards) => {
+                sdea_obs::add("eval.cosine_cells", ((end - start) * m) as u64);
+                acc.push_slab(&shard_slab(&q.normalized_view(), shards)?, m, gold_b);
+            }
+            Targets::Shortlist { retr, k, rescore } => {
+                let mut hits = retr.search(&q, *k);
+                if let Some(rescore) = rescore {
+                    hits = rescore(start, hits);
+                    assert_eq!(hits.len(), end - start, "rescore must keep one hit list per query");
+                }
+                for (row, &g) in hits.iter().zip(gold_b) {
+                    acc.push(row.iter().position(|&(i, _)| i == g).map_or(*k + 1, |p| p + 1));
+                }
             }
         }
-        sdea_obs::add("eval.cosine_cells", (qb * m) as u64);
-        let ranks = sdea_tensor::par_map_collect(qb, m.max(1), |r| {
-            rank_of(&slab[r * m..(r + 1) * m], gold[start + r])
-        });
-        for rank in ranks {
-            acc.push(rank);
-        }
-        start = end;
     }
     Ok(acc.finish())
 }
 
+/// The `q × m` cosine slab of the normalized query block `q_n` against a
+/// sharded table, assembled column segment by column segment (one segment
+/// per shard, each shard normalized on its own).
+fn shard_slab(q_n: &Tensor, shards: &EmbeddingShards) -> io::Result<Vec<f32>> {
+    let (qb, m) = (q_n.shape()[0], shards.len());
+    let mut slab = vec![0.0f32; qb * m];
+    for s in 0..shards.n_shards() {
+        let (c0, c1) = shards.shard_range(s);
+        let w = c1 - c0;
+        let cols = q_n.matmul_t(&shards.read_shard(s)?.normalized_view());
+        for r in 0..qb {
+            slab[r * m + c0..r * m + c1].copy_from_slice(&cols.data()[r * w..(r + 1) * w]);
+        }
+    }
+    Ok(slab)
+}
+
 /// Copies rows `r0..r1` of a rank-2 tensor into a standalone block tensor.
-pub(crate) fn row_block(t: &Tensor, r0: usize, r1: usize) -> Tensor {
+fn row_block(t: &Tensor, r0: usize, r1: usize) -> Tensor {
     let d = t.shape()[1];
     Tensor::from_vec(t.data()[r0 * d..r1 * d].to_vec(), &[r1 - r0, d])
-}
-
-/// Evaluates alignment through a [`Retriever`] shortlist instead of a
-/// materialized similarity matrix: `gold[i]` is the indexed row that is
-/// query `i`'s true match.
-///
-/// The gold's rank is its 1-based position in the top-`k` hit list when it
-/// appears there, else the lower bound `k + 1` (it lost to at least `k`
-/// candidates). With an exact backend and `k = retr.len()` this is
-/// bit-identical to [`evaluate_ranking`] over the full cosine matrix: the
-/// hit list is a stable descending sort under [`desc_nan_last`] with ties
-/// broken by lower index, exactly [`rank_of`]'s tie rule. With `k < len`
-/// (or an approximate backend) Hits@1/Hits@10 are unchanged as long as
-/// `k >= 10` and the shortlist recalls the gold; only the deep MRR tail is
-/// approximated — `k + 1` under-states a miss's true rank, so the
-/// truncated MRR upper-bounds the exact one.
-pub fn evaluate_retrieved(
-    retr: &dyn Retriever,
-    queries: &Tensor,
-    gold: &[usize],
-    k: usize,
-) -> AlignmentMetrics {
-    assert_eq!(queries.rank(), 2, "evaluate_retrieved expects rank-2 queries");
-    assert_eq!(queries.shape()[0], gold.len(), "one gold target per query row");
-    let m = retr.len();
-    for (i, &g) in gold.iter().enumerate() {
-        assert!(g < m, "evaluate_retrieved: gold[{i}] row {g} out of range for {m} targets");
-    }
-    let _span = sdea_obs::span("eval.evaluate_retrieved");
-    let hits = retr.search(queries, k);
-    let mut acc = RankAccum::default();
-    // Serial, in query order: MRR accumulation stays bit-stable.
-    for (row, &g) in hits.iter().zip(gold) {
-        acc.push(retrieved_rank(row, g, k));
-    }
-    acc.finish()
-}
-
-/// Rank of `gold` in a retriever hit list: its 1-based position when
-/// present, else the lower bound `k + 1`.
-fn retrieved_rank(row: &[(usize, f32)], gold: usize, k: usize) -> usize {
-    match row.iter().position(|&(i, _)| i == gold) {
-        Some(p) => p + 1,
-        None => k + 1,
-    }
-}
-
-/// Blocked form of [`evaluate_retrieved`]: the queries walk through the
-/// retriever in `block_rows`-high blocks (0 means one block), so at most
-/// one block's hit lists are resident at a time instead of all `n`.
-///
-/// Bit-identical to [`evaluate_retrieved`] at any block size for every
-/// backend in this workspace: retriever search is a per-query-row
-/// operation (normalization, probing and scoring of query `i` never look
-/// at query `j`), so block composition cannot change any hit list, and
-/// [`RankAccum`] replays the same serial accumulation in global row order.
-pub fn evaluate_retrieved_blocked(
-    retr: &dyn Retriever,
-    queries: &Tensor,
-    gold: &[usize],
-    k: usize,
-    block_rows: usize,
-) -> AlignmentMetrics {
-    assert_eq!(queries.rank(), 2, "evaluate_retrieved expects rank-2 queries");
-    assert_eq!(queries.shape()[0], gold.len(), "one gold target per query row");
-    let m = retr.len();
-    for (i, &g) in gold.iter().enumerate() {
-        assert!(g < m, "evaluate_retrieved: gold[{i}] row {g} out of range for {m} targets");
-    }
-    let _span = sdea_obs::span("eval.evaluate_retrieved_blocked");
-    let n = queries.shape()[0];
-    let block = if block_rows == 0 { n.max(1) } else { block_rows };
-    let mut acc = RankAccum::default();
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + block).min(n);
-        let hits = retr.search(&row_block(queries, start, end), k);
-        for (row, &g) in hits.iter().zip(&gold[start..end]) {
-            acc.push(retrieved_rank(row, g, k));
-        }
-        start = end;
-    }
-    acc.finish()
-}
-
-/// Per-block shortlist rescoring hook for
-/// [`evaluate_retrieved_reranked_blocked`]: receives the block's global
-/// starting query row and its `(target_row, score)` hit lists, returns the
-/// rescored lists (same outer length).
-pub type RescoreFn<'a> = dyn FnMut(usize, Vec<Vec<(usize, f32)>>) -> Vec<Vec<(usize, f32)>> + 'a;
-
-/// Blocked retrieval evaluation with a second-stage rescoring pass: each
-/// block's hit lists are handed to `rescore` (typically a cross-encoder
-/// reranker — `sdea_core::CrossEncoder::rerank_hits` behind a closure; this
-/// crate deliberately does not depend on `sdea-core`) together with the
-/// global index of the block's first query, and the *returned* lists are
-/// ranked. Like [`evaluate_retrieved_blocked`], only one block's hit lists
-/// are ever resident, so the `n × m` matrix never materializes.
-///
-/// With the identity closure `|_, hits| hits` this is bit-identical to
-/// [`evaluate_retrieved_blocked`] at any block size and thread budget
-/// (pinned by a test below). A real rescorer must itself be per-row for the
-/// block decomposition to stay exact — the cross-encoder's pair scores are.
-pub fn evaluate_retrieved_reranked_blocked(
-    retr: &dyn Retriever,
-    queries: &Tensor,
-    gold: &[usize],
-    k: usize,
-    block_rows: usize,
-    rescore: &mut RescoreFn<'_>,
-) -> AlignmentMetrics {
-    assert_eq!(queries.rank(), 2, "evaluate_retrieved expects rank-2 queries");
-    assert_eq!(queries.shape()[0], gold.len(), "one gold target per query row");
-    let m = retr.len();
-    for (i, &g) in gold.iter().enumerate() {
-        assert!(g < m, "evaluate_retrieved: gold[{i}] row {g} out of range for {m} targets");
-    }
-    let _span = sdea_obs::span("eval.evaluate_retrieved_reranked_blocked");
-    let n = queries.shape()[0];
-    let block = if block_rows == 0 { n.max(1) } else { block_rows };
-    let mut acc = RankAccum::default();
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + block).min(n);
-        let hits = rescore(start, retr.search(&row_block(queries, start, end), k));
-        assert_eq!(hits.len(), end - start, "rescore must keep one hit list per query");
-        for (row, &g) in hits.iter().zip(&gold[start..end]) {
-            acc.push(retrieved_rank(row, g, k));
-        }
-        start = end;
-    }
-    acc.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdea_index::ExactRetriever;
+    use crate::similarity::cosine_matrix;
+    use sdea_index::{ExactRetriever, IndexConfig, IndexKind, IvfRetriever};
+    use sdea_tensor::{with_thread_budget, Rng};
 
     #[test]
     fn rank_of_basics() {
@@ -474,21 +393,6 @@ mod tests {
         assert!((m.mrr - (1.0 / 3.0 + 1.0) / 2.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn evaluate_retrieved_with_full_k_matches_matrix_path_bitwise() {
-        use sdea_tensor::Rng;
-        let mut rng = Rng::seed_from_u64(9);
-        let src = Tensor::rand_normal(&[30, 8], 1.0, &mut rng);
-        let tgt = Tensor::rand_normal(&[40, 8], 1.0, &mut rng);
-        let gold: Vec<usize> = (0..30).map(|i| (i * 7) % 40).collect();
-        let via_matrix = evaluate_ranking(&crate::similarity::cosine_matrix(&src, &tgt), &gold);
-        let retr = ExactRetriever::new(&tgt);
-        let via_retr = evaluate_retrieved(&retr, &src, &gold, 40);
-        assert_eq!(via_matrix.hits1.to_bits(), via_retr.hits1.to_bits());
-        assert_eq!(via_matrix.hits10.to_bits(), via_retr.hits10.to_bits());
-        assert_eq!(via_matrix.mrr.to_bits(), via_retr.mrr.to_bits());
-    }
-
     fn assert_bitwise(a: &AlignmentMetrics, b: &AlignmentMetrics, ctx: &str) {
         assert_eq!(a.hits1.to_bits(), b.hits1.to_bits(), "{ctx}: hits1");
         assert_eq!(a.hits10.to_bits(), b.hits10.to_bits(), "{ctx}: hits10");
@@ -496,7 +400,6 @@ mod tests {
     }
 
     fn random_pair() -> (Tensor, Tensor, Vec<usize>) {
-        use sdea_tensor::Rng;
         let mut rng = Rng::seed_from_u64(9);
         let src = Tensor::rand_normal(&[30, 8], 1.0, &mut rng);
         let tgt = Tensor::rand_normal(&[40, 8], 1.0, &mut rng);
@@ -504,126 +407,144 @@ mod tests {
         (src, tgt, gold)
     }
 
+    /// [`evaluate_blocked`] at a thread budget. The sources under test are
+    /// in memory or freshly written, so I/O failure is a test failure.
+    fn blocked_at(
+        threads: usize,
+        src: &Tensor,
+        targets: Targets<'_>,
+        gold: &[usize],
+        block: usize,
+    ) -> AlignmentMetrics {
+        with_thread_budget(threads, || evaluate_blocked(src, targets, gold, block))
+            .expect("blocked evaluation")
+    }
+
+    /// Writes `t` to a fresh shard directory with `shard_rows`-high shards.
+    fn spill(t: &Tensor, dir: &std::path::Path, shard_rows: usize) -> EmbeddingShards {
+        let (n, d) = (t.shape()[0], t.shape()[1]);
+        let shards =
+            EmbeddingShards::open_or_create(dir, n, d, shard_rows, 0xfeed).expect("create shards");
+        for s in 0..shards.n_shards() {
+            let (r0, r1) = shards.shard_range(s);
+            shards.write_shard(s, &row_block(t, r0, r1)).expect("write shard");
+        }
+        shards
+    }
+
+    /// The oracle test: every target source, at every block height and
+    /// thread budget, is bitwise the full-matrix evaluation. Sources: the
+    /// in-memory table; shards of height 1, 7 and all rows; and complete
+    /// shortlists (`k = m`) from the exact backend and IVF at
+    /// `nprobe = all` (plain and int8), each with no rescore and with the
+    /// identity rescore. A last case pins the rescorer contract: the
+    /// `start` offset it receives indexes the global gold slice.
     #[test]
-    fn blocked_ranking_matches_matrix_path_bitwise_at_any_block_and_threads() {
-        use sdea_tensor::with_thread_budget;
+    fn evaluate_blocked_matches_the_matrix_oracle() {
         let (src, tgt, gold) = random_pair();
-        let via_matrix = evaluate_ranking(&crate::similarity::cosine_matrix(&src, &tgt), &gold);
+        let m = tgt.shape()[0];
+        let oracle = evaluate_ranking(&cosine_matrix(&src, &tgt), &gold);
+        let base = std::env::temp_dir().join(format!("sdea_eval_oracle_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let shards: Vec<(usize, EmbeddingShards)> = [1usize, 7, m]
+            .iter()
+            .map(|&h| (h, spill(&tgt, &base.join(format!("h{h}")), h)))
+            .collect();
+        let exact = ExactRetriever::new(&tgt);
+        let ivf = |quantize| {
+            let cfg = IndexConfig { kind: IndexKind::Ivf, nlist: 4, nprobe: 0, quantize };
+            IvfRetriever::build(&tgt, &cfg)
+        };
+        let (ivf_f32, ivf_int8) = (ivf(false), ivf(true));
+        let retrievers: [(&str, &dyn Retriever); 3] =
+            [("exact", &exact), ("ivf", &ivf_f32), ("ivf-int8", &ivf_int8)];
         for threads in [1usize, 8] {
-            with_thread_budget(threads, || {
-                for block in [0usize, 1, 7, 30, 1000] {
-                    let b = evaluate_ranking_blocked(&src, &tgt, &gold, block);
-                    assert_bitwise(&via_matrix, &b, &format!("threads {threads} block {block}"));
-                }
-            });
-        }
-    }
-
-    #[test]
-    fn blocked_retrieval_matches_one_shot_retrieval_bitwise() {
-        use sdea_index::{IndexConfig, IndexKind, IvfRetriever};
-        let (src, tgt, gold) = random_pair();
-        let exact = ExactRetriever::new(&tgt);
-        let ivf = IvfRetriever::build(
-            &tgt,
-            &IndexConfig { kind: IndexKind::Ivf, nlist: 4, nprobe: 2, quantize: true },
-        );
-        for (name, retr) in [("exact", &exact as &dyn Retriever), ("ivf", &ivf)] {
-            for k in [5usize, 40] {
-                let one_shot = evaluate_retrieved(retr, &src, &gold, k);
-                for block in [0usize, 1, 7, 30, 1000] {
-                    let b = evaluate_retrieved_blocked(retr, &src, &gold, k, block);
-                    assert_bitwise(&one_shot, &b, &format!("{name} k {k} block {block}"));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn reranked_blocked_with_identity_rescore_matches_plain_blocked_bitwise() {
-        use sdea_index::{IndexConfig, IndexKind, IvfRetriever};
-        use sdea_tensor::with_thread_budget;
-        let (src, tgt, gold) = random_pair();
-        let exact = ExactRetriever::new(&tgt);
-        let ivf = IvfRetriever::build(
-            &tgt,
-            &IndexConfig { kind: IndexKind::Ivf, nlist: 4, nprobe: 2, quantize: true },
-        );
-        for (name, retr) in [("exact", &exact as &dyn Retriever), ("ivf", &ivf)] {
-            for threads in [1usize, 8] {
-                with_thread_budget(threads, || {
-                    for block in [0usize, 1, 7, 30] {
-                        let plain = evaluate_retrieved_blocked(retr, &src, &gold, 10, block);
-                        let rr = evaluate_retrieved_reranked_blocked(
-                            retr,
-                            &src,
-                            &gold,
-                            10,
-                            block,
-                            &mut |_, hits| hits,
-                        );
-                        assert_bitwise(&plain, &rr, &format!("{name} t{threads} block {block}"));
-                    }
-                });
-            }
-        }
-    }
-
-    #[test]
-    fn reranked_blocked_applies_the_rescorer() {
-        // A rescorer that moves the gold to the front everywhere must give
-        // perfect Hits@1, whatever stage 1 said. The `start` offset indexes
-        // the gold slice — that is the contract the closure relies on.
-        let (src, tgt, gold) = random_pair();
-        let retr = ExactRetriever::new(&tgt);
-        let gold_ref = gold.clone();
-        let m =
-            evaluate_retrieved_reranked_blocked(&retr, &src, &gold, 40, 7, &mut |start, hits| {
-                hits.into_iter()
-                    .enumerate()
-                    .map(|(r, mut row)| {
-                        let g = gold_ref[start + r];
-                        row.sort_by_key(|&(j, _)| (j != g) as u8);
-                        row
-                    })
-                    .collect()
-            });
-        assert_eq!(m.hits1, 1.0);
-    }
-
-    #[test]
-    fn sharded_target_evaluation_matches_matrix_path_bitwise() {
-        let (src, tgt, gold) = random_pair();
-        let via_matrix = evaluate_ranking(&crate::similarity::cosine_matrix(&src, &tgt), &gold);
-        let base = std::env::temp_dir().join(format!("sdea_eval_shards_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&base);
-        for shard_rows in [1usize, 7, 40] {
-            let dir = base.join(format!("h{shard_rows}"));
-            let shards = EmbeddingShards::open_or_create(&dir, 40, 8, shard_rows, 0xfeed)
-                .expect("create shards");
-            for s in 0..shards.n_shards() {
-                let (r0, r1) = shards.shard_range(s);
-                shards.write_shard(s, &row_block(&tgt, r0, r1)).expect("write shard");
-            }
             for block in [0usize, 1, 7, 30] {
-                let b = evaluate_ranking_shards(&src, &shards, &gold, block).expect("sharded eval");
-                assert_bitwise(&via_matrix, &b, &format!("shards {shard_rows} block {block}"));
+                let ctx = |name: &str| format!("{name}, block {block}, threads {threads}");
+                let got = blocked_at(threads, &src, Targets::Table(&tgt), &gold, block);
+                assert_bitwise(&oracle, &got, &ctx("table"));
+                for (h, s) in &shards {
+                    let got = blocked_at(threads, &src, Targets::Shards(s), &gold, block);
+                    assert_bitwise(&oracle, &got, &ctx(&format!("shards of {h}")));
+                }
+                for (name, retr) in retrievers {
+                    let plain = Targets::Shortlist { retr, k: m, rescore: None };
+                    assert_bitwise(
+                        &oracle,
+                        &blocked_at(threads, &src, plain, &gold, block),
+                        &ctx(name),
+                    );
+                    let mut identity = |_: usize, hits: Vec<Vec<Hit>>| hits;
+                    let rescored = Targets::Shortlist { retr, k: m, rescore: Some(&mut identity) };
+                    let got = blocked_at(threads, &src, rescored, &gold, block);
+                    assert_bitwise(&oracle, &got, &ctx(&format!("{name} + identity rescore")));
+                }
+                // A rescorer that moves the gold to the front of every list
+                // must give perfect Hits@1 whatever stage 1 said — which it
+                // only can if `start` indexes the global gold slice.
+                let mut gold_first = |start: usize, mut hits: Vec<Vec<Hit>>| {
+                    for (r, row) in hits.iter_mut().enumerate() {
+                        row.sort_by_key(|&(j, _)| j != gold[start + r]);
+                    }
+                    hits
+                };
+                let targets =
+                    Targets::Shortlist { retr: &exact, k: m, rescore: Some(&mut gold_first) };
+                let got = blocked_at(threads, &src, targets, &gold, block);
+                assert_eq!(got.hits1, 1.0, "{}", ctx("gold-first rescore"));
             }
         }
         let _ = std::fs::remove_dir_all(&base);
     }
 
+    /// Targets clustered around six centres with gold = same row, so many
+    /// golds rank below 10 and a top-10 shortlist misses them.
+    fn aligned_world(n: usize, d: usize, seed: u64) -> (Tensor, Tensor, Vec<usize>) {
+        let mut rng = Rng::seed_from_u64(seed);
+        let centers = Tensor::rand_normal(&[6, d], 1.0, &mut rng);
+        let (mut src, mut tgt) = (Vec::with_capacity(n * d), Vec::with_capacity(n * d));
+        for i in 0..n {
+            for &b in centers.row(i % 6) {
+                tgt.push(b + 0.3 * rng.normal());
+                src.push(b + 0.3 * rng.normal());
+            }
+        }
+        (Tensor::from_vec(src, &[n, d]), Tensor::from_vec(tgt, &[n, d]), (0..n).collect())
+    }
+
+    /// A truncated exact shortlist with `k >= 10` keeps Hits@1 and Hits@10
+    /// exact, since a miss ranks `k + 1 > 10`; only MRR is approximated,
+    /// and `k + 1` never exceeds the true rank, so it can only rise.
     #[test]
-    fn evaluate_retrieved_misses_get_the_lower_bound_rank() {
-        // One target is the opposite of the query; with k = 1 the gold is
-        // outside the shortlist and must count as rank k + 1 = 2.
+    fn exact_shortlist_keeps_hits_exact_and_bounds_mrr() {
+        let (src, tgt, gold) = aligned_world(100, 16, 33);
+        let full = evaluate_ranking(&cosine_matrix(&src, &tgt), &gold);
+        assert!(full.hits10 < 1.0, "the world must have golds outside the top 10");
+        let exact = ExactRetriever::new(&tgt);
+        for k in [10usize, 17] {
+            let short = evaluate_blocked(
+                &src,
+                Targets::Shortlist { retr: &exact, k, rescore: None },
+                &gold,
+                7,
+            )
+            .expect("shortlist evaluation");
+            assert_eq!(full.hits1.to_bits(), short.hits1.to_bits(), "k {k}: hits1");
+            assert_eq!(full.hits10.to_bits(), short.hits10.to_bits(), "k {k}: hits10");
+            assert!(short.mrr >= full.mrr, "k {k}: MRR {} < full {}", short.mrr, full.mrr);
+        }
+    }
+
+    /// With `k < 10` a miss would rank `k + 1 <= 10` and count as a Hits@10
+    /// hit, so such a shortlist is refused instead of mis-scored.
+    #[test]
+    #[should_panic(expected = "Hits@10 needs a shortlist of at least 10")]
+    fn shortlist_shorter_than_ten_is_rejected() {
         let tgt = Tensor::from_vec(vec![1.0, 0.0, -1.0, 0.0], &[2, 2]);
         let q = Tensor::from_vec(vec![1.0, 0.0], &[1, 2]);
         let retr = ExactRetriever::new(&tgt);
-        let m = evaluate_retrieved(&retr, &q, &[1], 1);
-        assert_eq!(m.hits1, 0.0);
-        assert_eq!(m.hits10, 1.0, "rank 2 still counts for Hits@10");
-        assert!((m.mrr - 0.5).abs() < 1e-12);
+        let _ =
+            evaluate_blocked(&q, Targets::Shortlist { retr: &retr, k: 9, rescore: None }, &[1], 0);
     }
 
     /// Regression (serving hardening): zero-norm embedding rows — e.g. an
@@ -633,13 +554,12 @@ mod tests {
     /// a zero row's cosine against anything is exactly `0.0`.
     #[test]
     fn zero_norm_rows_agree_across_paths_and_keep_mrr_finite() {
-        use sdea_index::{IndexConfig, IndexKind, IvfRetriever};
         // src row 1 and tgt rows 0, 2 are all-zero.
         let src = Tensor::from_vec(vec![1.0, 0.0, 0.0, 0.0, 0.6, 0.8], &[3, 2]);
         let tgt =
             Tensor::from_vec(vec![0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 1.0], &[5, 2]);
         let gold = vec![1, 0, 4];
-        let sim = crate::similarity::cosine_matrix(&src, &tgt);
+        let sim = cosine_matrix(&src, &tgt);
         // Zero rows and zero columns score exactly 0.0 — bitwise, not NaN.
         for j in 0..5 {
             assert_eq!(sim.row(1)[j].to_bits(), 0.0f32.to_bits(), "zero query vs target {j}");
@@ -658,18 +578,16 @@ mod tests {
                 assert_eq!(s.to_bits(), sim.row(i)[j].to_bits(), "query {i} target {j}");
             }
         }
-        // Both backends produce the same metrics as the matrix, bitwise.
+        // Both backends produce the same metrics as the matrix, bitwise
+        // (k = 10 covers all five targets).
         let ivf = IvfRetriever::build(
             &tgt,
             &IndexConfig { kind: IndexKind::Ivf, nlist: 2, nprobe: 0, quantize: true },
         );
-        for (name, m) in [
-            ("exact", evaluate_retrieved(&exact, &src, &gold, 5)),
-            ("ivf", evaluate_retrieved(&ivf, &src, &gold, 5)),
-        ] {
-            assert_eq!(m.hits1.to_bits(), via_matrix.hits1.to_bits(), "{name} hits1");
-            assert_eq!(m.hits10.to_bits(), via_matrix.hits10.to_bits(), "{name} hits10");
-            assert_eq!(m.mrr.to_bits(), via_matrix.mrr.to_bits(), "{name} mrr");
+        for (name, retr) in [("exact", &exact as &dyn Retriever), ("ivf", &ivf)] {
+            let targets = Targets::Shortlist { retr, k: 10, rescore: None };
+            let m = evaluate_blocked(&src, targets, &gold, 0).expect("shortlist evaluation");
+            assert_bitwise(&via_matrix, &m, name);
         }
     }
 
@@ -679,7 +597,7 @@ mod tests {
     fn all_zero_query_row_ranks_by_index_ties() {
         let src = Tensor::zeros(&[1, 3]);
         let tgt = Tensor::from_vec(vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0], &[2, 3]);
-        let sim = crate::similarity::cosine_matrix(&src, &tgt);
+        let sim = cosine_matrix(&src, &tgt);
         assert_eq!(rank_of(sim.row(0), 0), 1);
         assert_eq!(rank_of(sim.row(0), 1), 2);
         let m = evaluate_ranking(&sim, &[1]);

@@ -1,4 +1,4 @@
-//! Pairwise cosine similarity and blocked top-k / argmax retrieval.
+//! Pairwise cosine similarity, top-k selection and full row argsort.
 //!
 //! All bulk operations here fan out through [`sdea_tensor::par`], so they
 //! honor the process-wide thread budget (`SDEA_THREADS` /
@@ -9,11 +9,6 @@ use sdea_tensor::{par_map_collect, Tensor};
 /// A dense `[n, m]` similarity matrix between `n` source and `m` target
 /// entities. Row-major like [`Tensor`].
 pub type SimilarityMatrix = Tensor;
-
-/// Column-block width for the column-wise scans ([`argmax_cols`]). Fixed
-/// (not derived from the thread budget) so the scan pattern — and thus the
-/// result — never depends on how many workers run.
-const COL_BLOCK: usize = 256;
 
 /// Total descending order over similarity scores with **NaN ranked last**
 /// (worst). Historically defined here; now the workspace-wide convention
@@ -59,65 +54,6 @@ pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<usize> {
         sdea_index::top_k_scored_into(scores, k, &mut best);
         best.iter().map(|&(i, _)| i).collect()
     })
-}
-
-/// Top-k column indices for every row of `sim`, rows fanned out across the
-/// thread budget. `out[i]` equals `top_k_indices(sim.row(i), k)`.
-pub fn top_k_rows(sim: &SimilarityMatrix, k: usize) -> Vec<Vec<usize>> {
-    assert_eq!(sim.rank(), 2);
-    let _span = sdea_obs::span("eval.top_k_rows");
-    let (n, m) = (sim.shape()[0], sim.shape()[1]);
-    par_map_collect(n, m.max(1), |i| top_k_indices(sim.row(i), k))
-}
-
-/// Argmax column of every row (ties broken by lower column index); 0 for a
-/// zero-width matrix.
-pub fn argmax_rows(sim: &SimilarityMatrix) -> Vec<usize> {
-    assert_eq!(sim.rank(), 2);
-    let (n, m) = (sim.shape()[0], sim.shape()[1]);
-    par_map_collect(n, m.max(1), |i| {
-        let row = sim.row(i);
-        let mut best = 0usize;
-        let mut best_v = f32::NEG_INFINITY;
-        for (j, &v) in row.iter().enumerate() {
-            if v > best_v {
-                best_v = v;
-                best = j;
-            }
-        }
-        best
-    })
-}
-
-/// Argmax row of every column (ties broken by lower row index); 0 for a
-/// zero-height matrix. Scans row-major in fixed [`COL_BLOCK`]-wide column
-/// blocks so it stays cache-friendly without per-element indexed access,
-/// and parallelizes across blocks.
-pub fn argmax_cols(sim: &SimilarityMatrix) -> Vec<usize> {
-    assert_eq!(sim.rank(), 2);
-    let (n, m) = (sim.shape()[0], sim.shape()[1]);
-    if m == 0 {
-        return Vec::new();
-    }
-    let blocks = m.div_ceil(COL_BLOCK);
-    let parts = par_map_collect(blocks, COL_BLOCK * n, |bi| {
-        let c0 = bi * COL_BLOCK;
-        let c1 = (c0 + COL_BLOCK).min(m);
-        let w = c1 - c0;
-        let mut best_v = vec![f32::NEG_INFINITY; w];
-        let mut best_i = vec![0usize; w];
-        for i in 0..n {
-            let row = &sim.row(i)[c0..c1];
-            for (c, &v) in row.iter().enumerate() {
-                if v > best_v[c] {
-                    best_v[c] = v;
-                    best_i[c] = i;
-                }
-            }
-        }
-        best_i
-    });
-    parts.into_iter().flatten().collect()
 }
 
 /// Column indices of every row sorted by descending score under
@@ -209,35 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn top_k_rows_matches_per_row() {
-        let mut rng = Rng::seed_from_u64(3);
-        let sim = Tensor::rand_normal(&[40, 70], 1.0, &mut rng);
-        let all = with_thread_budget(4, || top_k_rows(&sim, 5));
-        for (i, top) in all.iter().enumerate() {
-            assert_eq!(*top, top_k_indices(sim.row(i), 5), "row {i}");
-        }
-    }
-
-    #[test]
-    fn argmax_rows_and_cols_match_naive() {
-        let mut rng = Rng::seed_from_u64(4);
-        // wider than COL_BLOCK to cover multi-block scans
-        let sim = Tensor::rand_normal(&[33, 517], 1.0, &mut rng);
-        let (rows, cols) = with_thread_budget(4, || (argmax_rows(&sim), argmax_cols(&sim)));
-        for (i, &got) in rows.iter().enumerate() {
-            let r = sim.row(i);
-            let naive = (0..517).max_by(|&a, &b| r[a].total_cmp(&r[b]).then(b.cmp(&a))).unwrap();
-            assert_eq!(got, naive, "row {i}");
-        }
-        for j in (0..517).step_by(41) {
-            let naive = (0..33)
-                .max_by(|&a, &b| sim.at2(a, j).total_cmp(&sim.at2(b, j)).then(b.cmp(&a)))
-                .unwrap();
-            assert_eq!(cols[j], naive, "col {j}");
-        }
-    }
-
-    #[test]
     fn argsort_rows_desc_is_a_full_stable_ranking() {
         let sim = Tensor::from_vec(vec![0.5, 0.9, 0.5, -0.1], &[1, 4]);
         let order = argsort_rows_desc(&sim);
@@ -251,7 +158,8 @@ mod tests {
     /// counting allocator; it is generous enough (+1 MiB) to absorb
     /// allocations from tests running concurrently in this binary, while
     /// the old two-buffers-per-row behavior (~2x the payload) would still
-    /// blow through it.
+    /// blow through it. The window opens only once the thread-budget lock
+    /// is held, so it never spans another test's budget-pinned evaluation.
     #[test]
     fn argsort_allocates_one_vector_per_row() {
         if !sdea_obs::mem::counting_enabled() {
@@ -260,9 +168,11 @@ mod tests {
         let (n, m) = (256usize, 1024usize);
         let mut rng = Rng::seed_from_u64(5);
         let sim = Tensor::rand_normal(&[n, m], 1.0, &mut rng);
-        let before = sdea_obs::mem::total_allocated_bytes();
-        let order = with_thread_budget(1, || argsort_rows_desc(&sim));
-        let delta = sdea_obs::mem::total_allocated_bytes() - before;
+        let (order, delta) = with_thread_budget(1, || {
+            let before = sdea_obs::mem::total_allocated_bytes();
+            let order = argsort_rows_desc(&sim);
+            (order, sdea_obs::mem::total_allocated_bytes() - before)
+        });
         assert_eq!(order.len(), n);
         let payload = (n * m * std::mem::size_of::<usize>()) as u64;
         assert!(

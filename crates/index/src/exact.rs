@@ -1,11 +1,10 @@
 //! The exact backend: blocked cosine matmul + per-row top-k.
 //!
-//! Operation-for-operation the historical `cosine_matrix` + `top_k_rows`
-//! path — the target table is normalized once at construction through the
-//! shared [`Tensor::normalized_view`] helper (instead of once per call),
-//! queries are normalized once per batch, and the product rides the tiled
-//! `matmul_t` kernel. Bit-identity with the pre-refactor path is asserted
-//! by the retriever-equivalence suites.
+//! The target table is normalized once at construction through the shared
+//! [`Tensor::normalized_view`] helper, queries are normalized once per
+//! batch, and the product rides the tiled `matmul_t` kernel — the same
+//! cells `sdea_eval::cosine_matrix` computes. [`exact_search`] is the one
+//! exact scan in this crate: IVF's `nprobe = all` bypass calls it too.
 
 use crate::{counters, top_k_scored, Hit, Retriever};
 use sdea_tensor::{par_map_collect, Tensor};
@@ -33,11 +32,7 @@ impl Retriever for ExactRetriever {
     fn search(&self, queries: &Tensor, k: usize) -> Vec<Vec<Hit>> {
         assert_eq!(queries.rank(), 2, "search expects rank-2 queries");
         assert_eq!(queries.shape()[1], self.dim(), "embedding width mismatch");
-        let _span = sdea_obs::span("index.search_exact");
-        let (nq, m) = (queries.shape()[0], self.len());
-        counters().exact_rescored.add((nq * m) as u64);
-        let sim = queries.normalized_view().matmul_t(&self.norm);
-        par_map_collect(nq, m.max(1), |i| top_k_scored(sim.row(i), k))
+        exact_search(&self.norm, queries, k)
     }
 
     fn len(&self) -> usize {
@@ -47,6 +42,17 @@ impl Retriever for ExactRetriever {
     fn dim(&self) -> usize {
         self.norm.shape()[1]
     }
+}
+
+/// Exact top-`k` hits of every row of `queries` against the row-normalized
+/// table `norm`: one normalization of the query batch, one `matmul_t`, then
+/// a per-row top-k selection fanned out across the thread budget.
+pub(crate) fn exact_search(norm: &Tensor, queries: &Tensor, k: usize) -> Vec<Vec<Hit>> {
+    let _span = sdea_obs::span("index.search_exact");
+    let (nq, m) = (queries.shape()[0], norm.shape()[0]);
+    counters().exact_rescored.add((nq * m) as u64);
+    let sim = queries.normalized_view().matmul_t(norm);
+    par_map_collect(nq, m.max(1), |i| top_k_scored(sim.row(i), k))
 }
 
 #[cfg(test)]

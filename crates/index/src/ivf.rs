@@ -25,10 +25,10 @@
 //! ## Exactness escape hatch
 //!
 //! With `nprobe` = all clusters (`IndexConfig::nprobe == 0`, the default)
-//! `search` bypasses clustering entirely and runs the same blocked cosine
-//! kernel as [`ExactRetriever`](crate::ExactRetriever) — the equivalence
-//! suites assert bitwise-identical hits and metrics. Approximation only
-//! enters when a caller opts into `nprobe < nlist`.
+//! `search` bypasses clustering entirely and calls the same exact scan as
+//! [`ExactRetriever`](crate::ExactRetriever), so hits and metrics are
+//! bitwise identical. Approximation only enters when a caller opts into
+//! `nprobe < nlist`.
 //!
 //! ## `SDIX` blob layout (little-endian, container version 2)
 //!
@@ -55,6 +55,7 @@
 //! [`IvfRetriever::load_or_build`] quarantines a corrupt file to
 //! `<path>.corrupt` and rebuilds, mirroring the checkpoint store.
 
+use crate::exact::exact_search;
 use crate::{counters, top_k_scored, Hit, IndexConfig, Retriever};
 use sdea_tensor::kernels::{matmul_packed, pack_bt};
 use sdea_tensor::qkernels::{exact_dot, quantize_rows, QuantParams};
@@ -62,7 +63,7 @@ use sdea_tensor::serialize::{
     atomic_write_retry, blob_payload, blob_to_bytes, crc32, read_tensor, write_tensor, WireRead,
     WireWrite,
 };
-use sdea_tensor::{par_map_collect, EmbeddingShards, Rng, Tensor};
+use sdea_tensor::{par_map_collect, Rng, Tensor};
 use std::io;
 use std::path::Path;
 
@@ -76,12 +77,6 @@ const KMEANS_ITERS: usize = 10;
 /// pure function of the table and `IndexConfig`, so rebuilds (e.g. after
 /// quarantine) reproduce the identical structure.
 const KMEANS_SEED: u64 = 0x5dea_1d8e;
-
-/// Rows sampled per cluster for the streamed k-means training set
-/// ([`IvfRetriever::build_from_shards`]). 64 rows per centroid is ample to
-/// place it; the full table is then assigned to the trained centroids one
-/// shard at a time.
-const KMEANS_SAMPLE_PER_LIST: usize = 64;
 
 /// Quantized shortlist size as a multiple of `k`: the int8 scan keeps
 /// `RESCORE_MULT · k` candidates for exact `f32` re-scoring, absorbing
@@ -132,59 +127,6 @@ impl IvfRetriever {
         let clusters = members_of(&assign, nlist);
         let packed = packed_blocks(&norm, &clusters, quant.is_some());
         IvfRetriever { norm, centroids, assign, clusters, packed, quant, nprobe: cfg.nprobe }
-    }
-
-    /// Builds the index from a **sharded** embedding table spilled by the
-    /// out-of-core path, consuming it one shard at a time: k-means is
-    /// trained on a deterministic sample of the rows, then every shard is
-    /// normalized, folded into the retriever's table and assigned to its
-    /// nearest trained centroid.
-    ///
-    /// The peak working set is one normalized table plus a single shard —
-    /// [`IvfRetriever::build`] instead holds the caller's raw table *and*
-    /// its normalized copy at once. The result is a pure function of the
-    /// shard contents and `cfg` (shard height never matters), but it is
-    /// *not* byte-identical to `build` over the same table: the sampled
-    /// k-means sees a different training set, so centroids (and therefore
-    /// cluster boundaries) differ. With `nprobe = 0` both are exact and
-    /// bitwise-identical to the exact backend anyway.
-    pub fn build_from_shards(shards: &EmbeddingShards, cfg: &IndexConfig) -> io::Result<Self> {
-        let _span = sdea_obs::span("index.build_from_shards");
-        let (n, d) = (shards.len(), shards.dim());
-        let nlist = cfg.effective_nlist(n);
-        // Deterministic sample, sorted ascending so it can be gathered in
-        // one pass over the shards in storage order.
-        let sample_n = (nlist * KMEANS_SAMPLE_PER_LIST).min(n);
-        let mut order: Vec<usize> = (0..n).collect();
-        Rng::seed_from_u64(KMEANS_SEED ^ n as u64).shuffle(&mut order);
-        let mut sample_ids = order[..sample_n].to_vec();
-        sample_ids.sort_unstable();
-        // Assemble the normalized table shard by shard (per-row
-        // normalization makes a shard's rows equal the full table's rows
-        // bitwise) and pick the sample rows on the way through.
-        let mut norm_data = vec![0.0f32; n * d];
-        let mut sample_data = Vec::with_capacity(sample_n * d);
-        let mut next = 0usize;
-        for s in 0..shards.n_shards() {
-            let (r0, r1) = shards.shard_range(s);
-            let block = shards.read_shard(s)?.normalized_view();
-            norm_data[r0 * d..r1 * d].copy_from_slice(block.data());
-            while next < sample_ids.len() && sample_ids[next] < r1 {
-                sample_data.extend_from_slice(block.row(sample_ids[next] - r0));
-                next += 1;
-            }
-        }
-        let norm = Tensor::from_vec(norm_data, &[n, d]);
-        let sample = Tensor::from_vec(sample_data, &[sample_n, d]);
-        let (centroids, _) = kmeans(&sample, nlist);
-        let assign = if nlist == 0 { Vec::new() } else { nearest_centroids(&norm, &centroids) };
-        let quant = cfg.quantize.then(|| {
-            let (codes, params) = quantize_rows(norm.data(), n, d);
-            Quant { codes, params }
-        });
-        let clusters = members_of(&assign, nlist);
-        let packed = packed_blocks(&norm, &clusters, quant.is_some());
-        Ok(IvfRetriever { norm, centroids, assign, clusters, packed, quant, nprobe: cfg.nprobe })
     }
 
     /// Cluster count.
@@ -423,12 +365,9 @@ impl Retriever for IvfRetriever {
         assert_eq!(queries.shape()[1], self.dim(), "embedding width mismatch");
         let (nq, n, d) = (queries.shape()[0], self.len(), self.dim());
         if self.probe_all() {
-            // Exact bypass: the same kernel sequence as ExactRetriever, so
-            // nprobe = all is bitwise-identical to the exact backend.
-            let _span = sdea_obs::span("index.search_exact");
-            counters().exact_rescored.add((nq * n) as u64);
-            let sim = queries.normalized_view().matmul_t(&self.norm);
-            return par_map_collect(nq, n.max(1), |i| top_k_scored(sim.row(i), k));
+            // Exact bypass: the ExactRetriever scan itself, so nprobe = all
+            // is bitwise-identical to the exact backend.
+            return exact_search(&self.norm, queries, k);
         }
         let _span = sdea_obs::span("index.search_ivf");
         let q = queries.normalized_view();
@@ -555,9 +494,8 @@ fn packed_blocks(norm: &Tensor, clusters: &[Vec<u32>], quantized: bool) -> Vec<V
 }
 
 /// Nearest-centroid assignment by dot product: strictly-greater wins, so
-/// ties break toward the lower centroid index. The k-means refinement loop
-/// and the streamed per-shard assignment share this exact kernel, keeping
-/// their tie behavior identical. Requires at least one centroid.
+/// ties break toward the lower centroid index. Requires at least one
+/// centroid.
 fn nearest_centroids(norm: &Tensor, centroids: &Tensor) -> Vec<u32> {
     let (n, d) = (norm.shape()[0], norm.shape()[1]);
     let nlist = centroids.shape()[0];
@@ -717,72 +655,6 @@ mod tests {
         let ivf = IvfRetriever::build(&empty, &ivf_cfg(1, false));
         assert!(ivf.is_empty());
         assert_eq!(ivf.search(&q, 3), vec![Vec::<Hit>::new()]);
-    }
-
-    fn spill(t: &Tensor, dir: &std::path::Path, shard_rows: usize) -> EmbeddingShards {
-        let (n, d) = (t.shape()[0], t.shape()[1]);
-        let shards = EmbeddingShards::open_or_create(dir, n, d, shard_rows, 1).unwrap();
-        for s in 0..shards.n_shards() {
-            let (r0, r1) = shards.shard_range(s);
-            let block = Tensor::from_vec(t.data()[r0 * d..r1 * d].to_vec(), &[r1 - r0, d]);
-            shards.write_shard(s, &block).unwrap();
-        }
-        shards
-    }
-
-    fn shards_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("sdea_ivf_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    #[test]
-    fn shard_built_index_is_invariant_to_shard_height() {
-        let t = clustered_table(150, 8, 4, 7);
-        let base = shards_dir("height");
-        let cfg = ivf_cfg(2, true);
-        let reference = IvfRetriever::build_from_shards(&spill(&t, &base.join("h150"), 150), &cfg)
-            .expect("build from one shard");
-        for shard_rows in [1usize, 23] {
-            let dir = base.join(format!("h{shard_rows}"));
-            let idx = IvfRetriever::build_from_shards(&spill(&t, &dir, shard_rows), &cfg)
-                .expect("build from shards");
-            assert_eq!(idx.assign, reference.assign, "height {shard_rows}");
-            assert_eq!(idx.to_bytes(), reference.to_bytes(), "height {shard_rows}");
-        }
-        let _ = std::fs::remove_dir_all(&base);
-    }
-
-    #[test]
-    fn shard_built_index_with_probe_all_matches_exact_bitwise() {
-        let t = clustered_table(120, 8, 5, 8);
-        let q = clustered_table(15, 8, 5, 88);
-        let base = shards_dir("exact");
-        let cfg = ivf_cfg(0, false);
-        let idx = IvfRetriever::build_from_shards(&spill(&t, &base, 17), &cfg)
-            .expect("build from shards");
-        let exact = ExactRetriever::new(&t).search(&q, 10);
-        for (e, s) in exact.iter().zip(idx.search(&q, 10)) {
-            assert_eq!(e.len(), s.len());
-            for (&(ei, es), &(si, ss)) in e.iter().zip(&s) {
-                assert_eq!(ei, si);
-                assert_eq!(es.to_bits(), ss.to_bits());
-            }
-        }
-        // Approximate probing still recalls well from a shard-built index.
-        let mut approx = IvfRetriever::build_from_shards(&spill(&t, &base, 17), &ivf_cfg(3, false))
-            .expect("build approx");
-        approx.set_nprobe(3);
-        let hits: usize = exact
-            .iter()
-            .zip(approx.search(&q, 10))
-            .map(|(e, a)| {
-                let truth: Vec<usize> = e.iter().map(|&(i, _)| i).collect();
-                a.iter().filter(|&&(i, _)| truth.contains(&i)).count()
-            })
-            .sum();
-        assert!(hits as f64 / 150.0 > 0.6, "recall {hits}/150 too low");
-        let _ = std::fs::remove_dir_all(&base);
     }
 
     #[test]

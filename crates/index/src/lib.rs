@@ -1,25 +1,25 @@
 //! # sdea-index
 //!
-//! The retrieval abstraction layer: every ranking path in the workspace —
-//! negative-candidate generation, bootstrap mutual-nearest pairs, eval
-//! top-k / Hits@K / CSLS neighbourhood means — retrieves target entities
-//! through the [`Retriever`] trait instead of materializing and scanning a
-//! full `n×m` similarity matrix itself.
+//! The retrieval abstraction layer: negative-candidate generation,
+//! bootstrap mutual-nearest pairs, serving and shortlist evaluation
+//! (`sdea_eval::Targets::Shortlist`) retrieve target entities through the
+//! [`Retriever`] trait instead of materializing and scanning a full `n×m`
+//! similarity matrix themselves.
 //!
 //! Two interchangeable backends:
 //!
 //! * [`ExactRetriever`] — a thin wrapper over the blocked cosine matmul
-//!   (`normalized_view` + `matmul_t` + per-row top-k). Bit-identical to the
-//!   historical `cosine_matrix` + `top_k_rows` path by construction.
+//!   (`normalized_view` + `matmul_t` + per-row top-k). Its scores are the
+//!   cells of `sdea_eval::cosine_matrix`, bit for bit.
 //! * [`IvfRetriever`] — IVF-style coarse clustering: a deterministic
 //!   seeded k-means over the L2-normalized table assigns every row to one
 //!   of `nlist` clusters; a query probes the `nprobe` nearest centroids and
 //!   scores only their members. With `quantize`, the member scan runs over
 //!   an int8 scalar-quantized store ([`sdea_tensor::qkernels`], ~4x memory
 //!   cut) and the quantized shortlist is re-scored exactly in `f32`. With
-//!   `nprobe = 0` (= all clusters) the search bypasses to the exact kernel,
+//!   `nprobe = 0` (= all clusters) the search bypasses to the exact scan,
 //!   so results are bit-identical to [`ExactRetriever`] at any
-//!   `SDEA_THREADS` budget — the equivalence suites assert this bitwise.
+//!   `SDEA_THREADS` budget — the equivalence suite asserts this bitwise.
 //!
 //! Scores are always cosine similarities; ordering and NaN handling follow
 //! the workspace-wide [`desc_nan_last`] total order (ties broken by lower

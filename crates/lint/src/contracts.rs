@@ -593,6 +593,6 @@ mod tests {
         assert!(edit_distance_one("a.b", "a.c"));
         assert!(!edit_distance_one("same.name", "same.name"));
         assert!(!edit_distance_one("ckpt.load", "ckpt.save"));
-        assert!(!edit_distance_one("eval.csls", "eval.csls_blocked"));
+        assert!(!edit_distance_one("eval.evaluate_ranking", "eval.evaluate_ranking_blocked"));
     }
 }

@@ -56,7 +56,7 @@ impl ObsKind {
     }
 }
 
-/// One obs-name literal site (`span("eval.csls")`, `add("ckpt.writes", n)`…).
+/// One obs-name literal site (`span("eval.cosine_matrix")`, `add("ckpt.writes", n)`…).
 #[derive(Debug, Clone)]
 pub struct ObsSite {
     pub file: String,

@@ -235,11 +235,11 @@ mod tests {
     #[test]
     fn obs_sections_and_errors() {
         let reg = parse_obs(
-            "[span]\n\"eval.csls\" = \"eval\"\n[counter]\n\"ckpt.writes\" = \"core\"\n\
+            "[span]\n\"eval.cosine_matrix\" = \"eval\"\n[counter]\n\"ckpt.writes\" = \"core\"\n\
              [histogram]\n\"serve.batch_size\" = \"serve\"\n",
         )
         .unwrap();
-        assert_eq!(reg.spans["eval.csls"].owner, "eval");
+        assert_eq!(reg.spans["eval.cosine_matrix"].owner, "eval");
         assert_eq!(reg.counters["ckpt.writes"].owner, "core");
         assert_eq!(reg.histograms["serve.batch_size"].owner, "serve");
         assert!(parse_obs("[gauge]\n").is_err());

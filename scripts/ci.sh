@@ -4,6 +4,21 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The oracle test pins every blocked-evaluation source (table, shards,
+# retriever shortlists with and without a rescore) to the full-matrix
+# evaluation, bitwise. A cargo test filter that matches nothing passes
+# silently, so this runs it by exact name and fails unless it ran.
+# Arguments are environment assignments for the test process.
+ORACLE_TEST="metrics::tests::evaluate_blocked_matches_the_matrix_oracle"
+run_oracle_test() {
+  local out
+  out="$(env "$@" cargo test -q --release -p sdea-eval --lib -- --exact "$ORACLE_TEST" 2>&1)" \
+    || { echo "$out"; return 1; }
+  echo "$out"
+  grep -q "test result: ok. 1 passed" <<<"$out" \
+    || { echo "ci.sh: $ORACLE_TEST did not run" >&2; return 1; }
+}
+
 echo "=== cargo fmt --check ==="
 cargo fmt --all --check
 
@@ -47,16 +62,16 @@ cargo test -q --workspace --release
 
 # Budget equivalence with observability on: the instrumentation layer must
 # not perturb a single bit of any computed tensor at any thread count.
-# The retrieval suites additionally pin the nprobe=all exact bypass and the
-# retriever-backed metrics/CSLS paths to the matrix paths, bitwise.
+# The retrieval suite additionally pins the nprobe=all exact bypass to the
+# exact backend, and the oracle test pins every blocked-evaluation source
+# to the matrix path, bitwise.
 for threads in 1 8; do
   echo "=== budget equivalence: SDEA_THREADS=$threads SDEA_OBS=1 ==="
   SDEA_OBS=1 SDEA_THREADS="$threads" cargo test -q --release \
     -p sdea-tensor -p sdea-eval -p sdea-core --test par_equivalence
   SDEA_OBS=1 SDEA_THREADS="$threads" cargo test -q --release \
     -p sdea-index --test equivalence
-  SDEA_OBS=1 SDEA_THREADS="$threads" cargo test -q --release \
-    -p sdea-eval --test retriever_equivalence
+  run_oracle_test SDEA_OBS=1 SDEA_THREADS="$threads"
 done
 
 # Quick kernel throughput check (seconds): tiled vs. reference matmul
@@ -94,7 +109,7 @@ echo "=== rerank smoke ==="
 for threads in 1 8; do
   echo "=== rerank equivalence: SDEA_THREADS=$threads ==="
   SDEA_THREADS="$threads" cargo test -q --release -p sdea-serve --test determinism
-  SDEA_THREADS="$threads" cargo test -q --release -p sdea-eval reranked_blocked
+  run_oracle_test SDEA_THREADS="$threads"
   SDEA_THREADS="$threads" cargo test -q --release -p sdea-core --test rerank_property
 done
 
@@ -184,5 +199,11 @@ if SDEA_THREADS=-3 ./target/release/sdea_serve serve x y z 2>"$SERVE_TMP/env_err
 fi
 grep -q "SDEA_THREADS" "$SERVE_TMP/env_err" \
   || { echo "env smoke: diagnostic does not name SDEA_THREADS"; cat "$SERVE_TMP/env_err"; exit 1; }
+
+# The repository benchmark (BENCHMARK.json) builds against the public
+# sdea-eval/sdea-index/sdea-core API: its fmt, clippy, self-tests and a
+# smoke run of all four workloads must pass, so an API break fails here.
+echo "=== benchmark package checks ==="
+benchmark/check.sh
 
 echo "ci.sh: all checks passed"
