@@ -67,8 +67,6 @@ pub enum Stage {
     Attr,
     /// Algorithm 3 (relation-stage training).
     Rel,
-    /// Cross-encoder reranker fine-tuning.
-    Rerank,
 }
 
 impl Stage {
@@ -76,7 +74,6 @@ impl Stage {
         match self {
             Stage::Attr => "attr",
             Stage::Rel => "rel",
-            Stage::Rerank => "rerank",
         }
     }
 
@@ -85,7 +82,6 @@ impl Stage {
         match self {
             Stage::Attr => "stage.attr.write",
             Stage::Rel => "stage.rel.write",
-            Stage::Rerank => "stage.rerank.write",
         }
     }
 }
@@ -96,7 +92,6 @@ enum RecordKind {
     AttrDone = 1,
     TrainPairs = 2,
     RelEpoch = 3,
-    RerankEpoch = 4,
 }
 
 impl RecordKind {
@@ -106,7 +101,6 @@ impl RecordKind {
             1 => RecordKind::AttrDone,
             2 => RecordKind::TrainPairs,
             3 => RecordKind::RelEpoch,
-            4 => RecordKind::RerankEpoch,
             _ => return None,
         })
     }
@@ -115,7 +109,6 @@ impl RecordKind {
         match stage {
             Stage::Attr => RecordKind::AttrEpoch,
             Stage::Rel => RecordKind::RelEpoch,
-            Stage::Rerank => RecordKind::RerankEpoch,
         }
     }
 }
@@ -367,23 +360,6 @@ pub fn config_fingerprint(
         cfg.index.nprobe,
         cfg.index.quantize,
     );
-    // Appended (rather than inlined above) so fingerprints of rerank-off
-    // runs written before the reranker existed stay resumable: with the
-    // default `enabled=false` the suffix is constant, and any rerank knob
-    // only separates runs once the stage is actually on.
-    let canon = if cfg.rerank.enabled {
-        format!(
-            "{canon};rr=1;rrk={};rra={:08x};rre={};rrb={};rrlr={:08x};rrn={}",
-            cfg.rerank.k,
-            cfg.rerank.alpha.to_bits(),
-            cfg.rerank.epochs,
-            cfg.rerank.batch,
-            cfg.rerank.lr.to_bits(),
-            cfg.rerank.negatives,
-        )
-    } else {
-        canon
-    };
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in canon.bytes() {
         h ^= b as u64;
@@ -810,17 +786,6 @@ mod tests {
         let mut probed = ivf.clone();
         probed.index.nprobe = 4;
         assert_ne!(ivf_base, config_fingerprint(&probed, RelVariant::Full, (10, 10), (4, 2), None));
-        // Rerank off: knob values are inert, so checkpoints written before
-        // the reranker existed (or by rerank-off runs) stay resumable.
-        let mut rr = cfg.clone();
-        rr.rerank.k = 99;
-        assert_eq!(base, config_fingerprint(&rr, RelVariant::Full, (10, 10), (4, 2), None));
-        // Rerank on: the stage and each knob separate fingerprints.
-        rr.rerank.enabled = true;
-        let on = config_fingerprint(&rr, RelVariant::Full, (10, 10), (4, 2), None);
-        assert_ne!(base, on);
-        rr.rerank.alpha = 0.25;
-        assert_ne!(on, config_fingerprint(&rr, RelVariant::Full, (10, 10), (4, 2), None));
         let mut knobs = cfg.clone();
         knobs.threads = 8;
         knobs.obs = false;
@@ -829,5 +794,16 @@ mod tests {
         knobs.embed_shard_rows = 3;
         knobs.eval_block_rows = 7;
         assert_eq!(base, config_fingerprint(&knobs, RelVariant::Full, (10, 10), (4, 2), None));
+    }
+
+    /// The fingerprint decides whether an existing checkpoint directory is
+    /// resumed, so its value for a given config is a persisted format:
+    /// these literals were written by earlier releases and must not move.
+    #[test]
+    fn fingerprint_values_are_pinned() {
+        let fp =
+            |cfg: &SdeaConfig| config_fingerprint(cfg, RelVariant::Full, (10, 10), (4, 2), None);
+        assert_eq!(fp(&SdeaConfig::default()), 0x58cb_c079_181b_fbcc);
+        assert_eq!(fp(&SdeaConfig::test_tiny()), 0x43a9_6a82_924a_a2bc);
     }
 }

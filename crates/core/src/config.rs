@@ -108,92 +108,6 @@ pub struct SdeaConfig {
     /// training sees, so — unlike `threads`/`obs` — this participates in
     /// the checkpoint config fingerprint.
     pub index: IndexConfig,
-    /// Cross-encoder reranking stage (off by default). When enabled it
-    /// fine-tunes a pair classifier on the seed alignments and rescores
-    /// only the stage-1 top-`k` shortlist at eval/serve time; disabled, the
-    /// pipeline is bit-identical to a build without the feature. Like
-    /// `index`, the knobs shape results and enter the checkpoint config
-    /// fingerprint.
-    pub rerank: RerankConfig,
-}
-
-/// Hyper-parameters of the cross-encoder reranking stage.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RerankConfig {
-    /// Train and apply the reranker at all.
-    pub enabled: bool,
-    /// Shortlist size rescored per query (stage-1 candidates).
-    pub k: usize,
-    /// Score-fusion weight: `alpha * cosine + (1 - alpha) * sigmoid(head)`.
-    pub alpha: f32,
-    /// Fine-tuning epochs (upper bound; early stopping applies).
-    pub epochs: usize,
-    /// Pairs per optimizer step.
-    pub batch: usize,
-    /// Learning rate.
-    pub lr: f32,
-    /// Hard negatives sampled from the shortlist per positive pair.
-    pub negatives: usize,
-}
-
-impl Default for RerankConfig {
-    fn default() -> Self {
-        RerankConfig {
-            enabled: false,
-            k: 10,
-            alpha: 0.5,
-            epochs: 6,
-            batch: 8,
-            lr: 3e-4,
-            negatives: 2,
-        }
-    }
-}
-
-impl RerankConfig {
-    /// Overlays the `SDEA_RERANK*` environment twins onto `self`:
-    /// `SDEA_RERANK` (bool), `SDEA_RERANK_K`, `SDEA_RERANK_ALPHA`,
-    /// `SDEA_RERANK_EPOCHS`, `SDEA_RERANK_BATCH`, `SDEA_RERANK_LR`,
-    /// `SDEA_RERANK_NEGATIVES`. Malformed values abort startup
-    /// ([`sdea_obs::env`]); unset keeps the current values.
-    pub fn apply_env(&mut self) {
-        use sdea_obs::env::{bool_or_exit, die, parse_or_exit};
-        if let Some(b) = bool_or_exit("SDEA_RERANK") {
-            self.enabled = b;
-        }
-        if let Some(k) = parse_or_exit::<usize>("SDEA_RERANK_K", "a positive shortlist size") {
-            if k == 0 {
-                die("SDEA_RERANK_K is 0: expected a positive shortlist size");
-            }
-            self.k = k;
-        }
-        if let Some(a) = parse_or_exit::<f32>("SDEA_RERANK_ALPHA", "a fusion weight in [0,1]") {
-            if !(0.0..=1.0).contains(&a) {
-                die(&format!("invalid SDEA_RERANK_ALPHA={a}: expected a fusion weight in [0,1]"));
-            }
-            self.alpha = a;
-        }
-        if let Some(e) = parse_or_exit::<usize>("SDEA_RERANK_EPOCHS", "an epoch count") {
-            self.epochs = e;
-        }
-        if let Some(b) = parse_or_exit::<usize>("SDEA_RERANK_BATCH", "a positive batch size") {
-            if b == 0 {
-                die("SDEA_RERANK_BATCH is 0: expected a positive batch size");
-            }
-            self.batch = b;
-        }
-        if let Some(lr) = parse_or_exit::<f32>("SDEA_RERANK_LR", "a positive learning rate") {
-            if !lr.is_finite() || lr <= 0.0 {
-                die(&format!("invalid SDEA_RERANK_LR={lr}: expected a positive learning rate"));
-            }
-            self.lr = lr;
-        }
-        if let Some(n) =
-            parse_or_exit::<usize>("SDEA_RERANK_NEGATIVES", "a hard-negative count per positive")
-        {
-            self.negatives = n;
-        }
-    }
 }
 
 /// Sequence pooling strategy of the attribute module.
@@ -254,7 +168,6 @@ impl Default for SdeaConfig {
             embed_shard_rows: 2048,
             eval_block_rows: 512,
             index: IndexConfig::default(),
-            rerank: RerankConfig::default(),
         }
     }
 }
@@ -295,7 +208,6 @@ impl SdeaConfig {
             embed_shard_rows: 2048,
             eval_block_rows: 512,
             index: IndexConfig::default(),
-            rerank: RerankConfig { k: 5, epochs: 3, negatives: 2, ..RerankConfig::default() },
         }
     }
 
@@ -311,7 +223,6 @@ impl SdeaConfig {
             dropout: self.dropout,
             ln_eps: 1e-5,
             identity_residual_init: true,
-            segments: 0,
         }
     }
 }

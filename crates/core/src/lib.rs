@@ -42,7 +42,6 @@ pub mod model_io;
 pub mod numeric;
 pub mod pipeline;
 pub mod rel_module;
-pub mod rerank;
 pub mod trainer;
 
 pub use align::{stable_matching, AlignmentResult};
@@ -53,4 +52,3 @@ pub use checkpoint::Checkpointer;
 pub use config::SdeaConfig;
 pub use pipeline::{SdeaModel, SdeaPipeline};
 pub use rel_module::RelModule;
-pub use rerank::CrossEncoder;

@@ -2,17 +2,15 @@
 //!
 //! Two entry points live here. [`evaluate_ranking`] scores a pre-computed
 //! `n × m` similarity matrix. [`evaluate_blocked`] takes the query
-//! embeddings and a [`Targets`] source — an in-memory table, a sharded
-//! table on disk, or a retriever shortlist — and walks the queries in
-//! bounded row blocks, so only one `block × m` slab (or one block's hit
-//! lists) is ever resident and the full matrix never exists. Both rank
-//! every row with the same [`rank_of`] tie rule and accumulate metrics
-//! serially in global row order through [`RankAccum`], so the blocked
-//! results are **bit-identical** to the matrix ones at any block size and
-//! any `SDEA_THREADS` budget.
+//! embeddings and a [`Targets`] source — an in-memory table or a sharded
+//! table on disk — and walks the queries in bounded row blocks, so only
+//! one `block × m` slab is ever resident and the full matrix never
+//! exists. Both rank every row with the same [`rank_of`] tie rule and
+//! accumulate metrics serially in global row order through [`RankAccum`],
+//! so the blocked results are **bit-identical** to the matrix ones at any
+//! block size and any `SDEA_THREADS` budget.
 
 use crate::similarity::{desc_nan_last, SimilarityMatrix};
-use sdea_index::{Hit, Retriever};
 use sdea_tensor::{EmbeddingShards, Tensor};
 use std::cmp::Ordering;
 use std::io;
@@ -139,11 +137,6 @@ pub fn evaluate_ranking(sim: &SimilarityMatrix, gold: &[usize]) -> AlignmentMetr
     acc.finish()
 }
 
-/// Per-block shortlist rescoring hook for [`Targets::Shortlist`]: receives
-/// the block's global starting query row and its `(target_row, score)` hit
-/// lists, returns the rescored lists (same outer length).
-pub type RescoreFn<'a> = dyn FnMut(usize, Vec<Vec<Hit>>) -> Vec<Vec<Hit>> + 'a;
-
 /// Where [`evaluate_blocked`] finds the target side of the ranking.
 pub enum Targets<'a> {
     /// An in-memory target embedding table `[m, d]`, normalized once.
@@ -151,25 +144,6 @@ pub enum Targets<'a> {
     /// A target table spilled to disk shards, read one shard at a time for
     /// every query block, so the full table is never resident either.
     Shards(&'a EmbeddingShards),
-    /// The top-`k` shortlist of a [`Retriever`] over the target table
-    /// (retrieve-then-rerank evaluation). The gold's rank is its 1-based
-    /// position in the hit list; a gold missing from the list gets `k + 1`,
-    /// so the reported MRR is an upper bound on the full-ranking MRR. `k`
-    /// must be at least 10: a miss then ranks above 10 and counts toward
-    /// neither Hits@1 nor Hits@10, which stay exact for an exact backend.
-    ///
-    /// `rescore`, when given, replaces each block's hit lists before they
-    /// are ranked (typically a cross-encoder reranker behind a closure; this
-    /// crate deliberately does not depend on `sdea-core`). It must itself be
-    /// per-row for the block decomposition to stay exact.
-    Shortlist {
-        /// The stage-1 retriever over the target table.
-        retr: &'a dyn Retriever,
-        /// Shortlist length, at least 10.
-        k: usize,
-        /// Optional second-stage rescoring of each block's hit lists.
-        rescore: Option<&'a mut RescoreFn<'a>>,
-    },
 }
 
 impl Targets<'_> {
@@ -181,7 +155,6 @@ impl Targets<'_> {
                 (t.shape()[0], t.shape()[1])
             }
             Targets::Shards(s) => (s.len(), s.dim()),
-            Targets::Shortlist { retr, .. } => (retr.len(), retr.dim()),
         }
     }
 }
@@ -189,28 +162,22 @@ impl Targets<'_> {
 /// Blocked evaluation: ranks the gold target of every row of `queries`
 /// (`gold[i]` is the target row that is query `i`'s true match), walking
 /// the queries in `block_rows`-high blocks (0 means one block). Only one
-/// block's similarity slab or hit lists is resident at a time.
+/// block's similarity slab is resident at a time.
 ///
-/// For [`Targets::Table`] and [`Targets::Shards`] — and for an exact
-/// [`Targets::Shortlist`] with `k = m` and an identity (or no) rescore —
-/// the result is bit-identical to
+/// The result is bit-identical to
 /// `evaluate_ranking(&cosine_matrix(queries, table), gold)` at any block
 /// size, shard height and thread budget: row normalization and the
 /// `matmul_t` kernel are per-row/per-element operations (a block row equals
-/// the corresponding full-matrix row bitwise, and so does a shard's), the
-/// retriever's hit list is a stable descending sort under
-/// [`desc_nan_last`] with ties broken by lower index — exactly [`rank_of`]'s
-/// tie rule — and [`RankAccum`] replays the same serial f64 additions in
-/// global row order.
+/// the corresponding full-matrix row bitwise, and so does a shard's), and
+/// [`RankAccum`] replays the same serial f64 additions in global row order.
 ///
 /// Only [`Targets::Shards`] does I/O, so only it can return `Err`.
 ///
-/// Panics with a descriptive message on a gold index out of range, a
-/// shape mismatch, a shortlist shorter than 10, or a rescore that changes
-/// the number of hit lists.
+/// Panics with a descriptive message on a gold index out of range or a
+/// shape mismatch.
 pub fn evaluate_blocked(
     queries: &Tensor,
-    mut targets: Targets<'_>,
+    targets: Targets<'_>,
     gold: &[usize],
     block_rows: usize,
 ) -> io::Result<AlignmentMetrics> {
@@ -219,44 +186,27 @@ pub fn evaluate_blocked(
     let (m, d) = targets.shape();
     assert_eq!(queries.shape()[1], d, "embedding width mismatch");
     check_gold(gold, m);
-    if let Targets::Shortlist { k, .. } = targets {
-        assert!(
-            k >= 10,
-            "evaluate_blocked: shortlist k = {k}, but Hits@10 needs a shortlist of at least 10"
-        );
-    }
     let _span = sdea_obs::span("eval.evaluate_ranking_blocked");
     let n = queries.shape()[0];
     let block = if block_rows == 0 { n.max(1) } else { block_rows };
     // The in-memory table is normalized once here, not once per block;
-    // the other sources leave this empty.
+    // shards are normalized one at a time as they are read.
     let table_n = match targets {
         Targets::Table(t) => t.normalized_view(),
-        _ => Tensor::zeros(&[0, d]),
+        Targets::Shards(_) => Tensor::zeros(&[0, d]),
     };
     let mut acc = RankAccum::default();
     for start in (0..n).step_by(block) {
         let end = (start + block).min(n);
         let q = row_block(queries, start, end);
         let gold_b = &gold[start..end];
-        match &mut targets {
+        sdea_obs::add("eval.cosine_cells", ((end - start) * m) as u64);
+        match targets {
             Targets::Table(_) => {
-                sdea_obs::add("eval.cosine_cells", ((end - start) * m) as u64);
                 acc.push_slab(q.normalized_view().matmul_t(&table_n).data(), m, gold_b);
             }
             Targets::Shards(shards) => {
-                sdea_obs::add("eval.cosine_cells", ((end - start) * m) as u64);
                 acc.push_slab(&shard_slab(&q.normalized_view(), shards)?, m, gold_b);
-            }
-            Targets::Shortlist { retr, k, rescore } => {
-                let mut hits = retr.search(&q, *k);
-                if let Some(rescore) = rescore {
-                    hits = rescore(start, hits);
-                    assert_eq!(hits.len(), end - start, "rescore must keep one hit list per query");
-                }
-                for (row, &g) in hits.iter().zip(gold_b) {
-                    acc.push(row.iter().position(|&(i, _)| i == g).map_or(*k + 1, |p| p + 1));
-                }
             }
         }
     }
@@ -290,7 +240,7 @@ fn row_block(t: &Tensor, r0: usize, r1: usize) -> Tensor {
 mod tests {
     use super::*;
     use crate::similarity::cosine_matrix;
-    use sdea_index::{ExactRetriever, IndexConfig, IndexKind, IvfRetriever};
+    use sdea_index::{ExactRetriever, IndexConfig, IndexKind, IvfRetriever, Retriever};
     use sdea_tensor::{with_thread_budget, Rng};
 
     #[test]
@@ -434,11 +384,7 @@ mod tests {
 
     /// The oracle test: every target source, at every block height and
     /// thread budget, is bitwise the full-matrix evaluation. Sources: the
-    /// in-memory table; shards of height 1, 7 and all rows; and complete
-    /// shortlists (`k = m`) from the exact backend and IVF at
-    /// `nprobe = all` (plain and int8), each with no rescore and with the
-    /// identity rescore. A last case pins the rescorer contract: the
-    /// `start` offset it receives indexes the global gold slice.
+    /// in-memory table and shards of height 1, 7 and all rows.
     #[test]
     fn evaluate_blocked_matches_the_matrix_oracle() {
         let (src, tgt, gold) = random_pair();
@@ -450,14 +396,6 @@ mod tests {
             .iter()
             .map(|&h| (h, spill(&tgt, &base.join(format!("h{h}")), h)))
             .collect();
-        let exact = ExactRetriever::new(&tgt);
-        let ivf = |quantize| {
-            let cfg = IndexConfig { kind: IndexKind::Ivf, nlist: 4, nprobe: 0, quantize };
-            IvfRetriever::build(&tgt, &cfg)
-        };
-        let (ivf_f32, ivf_int8) = (ivf(false), ivf(true));
-        let retrievers: [(&str, &dyn Retriever); 3] =
-            [("exact", &exact), ("ivf", &ivf_f32), ("ivf-int8", &ivf_int8)];
         for threads in [1usize, 8] {
             for block in [0usize, 1, 7, 30] {
                 let ctx = |name: &str| format!("{name}, block {block}, threads {threads}");
@@ -467,84 +405,9 @@ mod tests {
                     let got = blocked_at(threads, &src, Targets::Shards(s), &gold, block);
                     assert_bitwise(&oracle, &got, &ctx(&format!("shards of {h}")));
                 }
-                for (name, retr) in retrievers {
-                    let plain = Targets::Shortlist { retr, k: m, rescore: None };
-                    assert_bitwise(
-                        &oracle,
-                        &blocked_at(threads, &src, plain, &gold, block),
-                        &ctx(name),
-                    );
-                    let mut identity = |_: usize, hits: Vec<Vec<Hit>>| hits;
-                    let rescored = Targets::Shortlist { retr, k: m, rescore: Some(&mut identity) };
-                    let got = blocked_at(threads, &src, rescored, &gold, block);
-                    assert_bitwise(&oracle, &got, &ctx(&format!("{name} + identity rescore")));
-                }
-                // A rescorer that moves the gold to the front of every list
-                // must give perfect Hits@1 whatever stage 1 said — which it
-                // only can if `start` indexes the global gold slice.
-                let mut gold_first = |start: usize, mut hits: Vec<Vec<Hit>>| {
-                    for (r, row) in hits.iter_mut().enumerate() {
-                        row.sort_by_key(|&(j, _)| j != gold[start + r]);
-                    }
-                    hits
-                };
-                let targets =
-                    Targets::Shortlist { retr: &exact, k: m, rescore: Some(&mut gold_first) };
-                let got = blocked_at(threads, &src, targets, &gold, block);
-                assert_eq!(got.hits1, 1.0, "{}", ctx("gold-first rescore"));
             }
         }
         let _ = std::fs::remove_dir_all(&base);
-    }
-
-    /// Targets clustered around six centres with gold = same row, so many
-    /// golds rank below 10 and a top-10 shortlist misses them.
-    fn aligned_world(n: usize, d: usize, seed: u64) -> (Tensor, Tensor, Vec<usize>) {
-        let mut rng = Rng::seed_from_u64(seed);
-        let centers = Tensor::rand_normal(&[6, d], 1.0, &mut rng);
-        let (mut src, mut tgt) = (Vec::with_capacity(n * d), Vec::with_capacity(n * d));
-        for i in 0..n {
-            for &b in centers.row(i % 6) {
-                tgt.push(b + 0.3 * rng.normal());
-                src.push(b + 0.3 * rng.normal());
-            }
-        }
-        (Tensor::from_vec(src, &[n, d]), Tensor::from_vec(tgt, &[n, d]), (0..n).collect())
-    }
-
-    /// A truncated exact shortlist with `k >= 10` keeps Hits@1 and Hits@10
-    /// exact, since a miss ranks `k + 1 > 10`; only MRR is approximated,
-    /// and `k + 1` never exceeds the true rank, so it can only rise.
-    #[test]
-    fn exact_shortlist_keeps_hits_exact_and_bounds_mrr() {
-        let (src, tgt, gold) = aligned_world(100, 16, 33);
-        let full = evaluate_ranking(&cosine_matrix(&src, &tgt), &gold);
-        assert!(full.hits10 < 1.0, "the world must have golds outside the top 10");
-        let exact = ExactRetriever::new(&tgt);
-        for k in [10usize, 17] {
-            let short = evaluate_blocked(
-                &src,
-                Targets::Shortlist { retr: &exact, k, rescore: None },
-                &gold,
-                7,
-            )
-            .expect("shortlist evaluation");
-            assert_eq!(full.hits1.to_bits(), short.hits1.to_bits(), "k {k}: hits1");
-            assert_eq!(full.hits10.to_bits(), short.hits10.to_bits(), "k {k}: hits10");
-            assert!(short.mrr >= full.mrr, "k {k}: MRR {} < full {}", short.mrr, full.mrr);
-        }
-    }
-
-    /// With `k < 10` a miss would rank `k + 1 <= 10` and count as a Hits@10
-    /// hit, so such a shortlist is refused instead of mis-scored.
-    #[test]
-    #[should_panic(expected = "Hits@10 needs a shortlist of at least 10")]
-    fn shortlist_shorter_than_ten_is_rejected() {
-        let tgt = Tensor::from_vec(vec![1.0, 0.0, -1.0, 0.0], &[2, 2]);
-        let q = Tensor::from_vec(vec![1.0, 0.0], &[1, 2]);
-        let retr = ExactRetriever::new(&tgt);
-        let _ =
-            evaluate_blocked(&q, Targets::Shortlist { retr: &retr, k: 9, rescore: None }, &[1], 0);
     }
 
     /// Regression (serving hardening): zero-norm embedding rows — e.g. an
@@ -570,24 +433,24 @@ mod tests {
         }
         let via_matrix = evaluate_ranking(&sim, &gold);
         assert!(via_matrix.mrr.is_finite() && via_matrix.mrr > 0.0, "MRR must stay finite");
-        // Exact retriever: per-hit scores bitwise equal the matrix cells.
+        // Both backends (IVF int8 at nprobe = all): every hit's score
+        // bitwise equals its matrix cell.
         let exact = ExactRetriever::new(&tgt);
-        for (i, hits) in exact.search(&src, 5).iter().enumerate() {
-            assert_eq!(hits.len(), 5);
-            for &(j, s) in hits {
-                assert_eq!(s.to_bits(), sim.row(i)[j].to_bits(), "query {i} target {j}");
-            }
-        }
-        // Both backends produce the same metrics as the matrix, bitwise
-        // (k = 10 covers all five targets).
         let ivf = IvfRetriever::build(
             &tgt,
             &IndexConfig { kind: IndexKind::Ivf, nlist: 2, nprobe: 0, quantize: true },
         );
-        for (name, retr) in [("exact", &exact as &dyn Retriever), ("ivf", &ivf)] {
-            let targets = Targets::Shortlist { retr, k: 10, rescore: None };
-            let m = evaluate_blocked(&src, targets, &gold, 0).expect("shortlist evaluation");
-            assert_bitwise(&via_matrix, &m, name);
+        for (name, retr) in [("exact", &exact as &dyn Retriever), ("ivf-int8", &ivf)] {
+            for (i, hits) in retr.search(&src, 5).iter().enumerate() {
+                assert_eq!(hits.len(), 5, "{name}: query {i} sees every target");
+                for &(j, s) in hits {
+                    assert_eq!(
+                        s.to_bits(),
+                        sim.row(i)[j].to_bits(),
+                        "{name}: query {i} target {j}"
+                    );
+                }
+            }
         }
     }
 

@@ -1,10 +1,9 @@
 //! # sdea-index
 //!
 //! The retrieval abstraction layer: negative-candidate generation,
-//! bootstrap mutual-nearest pairs, serving and shortlist evaluation
-//! (`sdea_eval::Targets::Shortlist`) retrieve target entities through the
-//! [`Retriever`] trait instead of materializing and scanning a full `n×m`
-//! similarity matrix themselves.
+//! bootstrap mutual-nearest pairs and serving retrieve target entities
+//! through the [`Retriever`] trait instead of materializing and scanning a
+//! full `n×m` similarity matrix themselves.
 //!
 //! Two interchangeable backends:
 //!

@@ -513,13 +513,13 @@ mod tests {
 
     #[test]
     fn module_scoped_owner_uses_path_prefix() {
-        let src = "pub fn f() { sdea_obs::add(\"rerank.steps\", 1); }\n";
+        let src = "pub fn f() { sdea_obs::add(\"candidates.steps\", 1); }\n";
         let rm = regs(
             "[env]\n",
-            "[counter]\n\"rerank.steps\" = \"crates/core/src/rerank\"\n",
+            "[counter]\n\"candidates.steps\" = \"crates/core/src/candidates\"\n",
             "[blob]\n",
         );
-        let inside = model(&[("crates/core/src/rerank.rs", src)]);
+        let inside = model(&[("crates/core/src/candidates.rs", src)]);
         assert!(check(&inside, &rm).is_empty(), "{:?}", check(&inside, &rm));
         let outside = model(&[("crates/core/src/trainer.rs", src)]);
         assert!(

@@ -84,7 +84,7 @@ pub struct BlobSite {
 pub struct ConfigField {
     pub file: String,
     pub line: usize,
-    /// `SdeaConfig`, `IndexConfig`, `RerankConfig`.
+    /// `SdeaConfig`, `IndexConfig`.
     pub strukt: &'static str,
     pub name: String,
     /// Carries a `// fingerprint: excluded(<reason>)` justification.
@@ -92,11 +92,8 @@ pub struct ConfigField {
 }
 
 /// The fingerprint-enrolled config structs and where they live.
-pub const FPRINT_STRUCTS: &[(&str, &str)] = &[
-    ("crates/core/src/config.rs", "SdeaConfig"),
-    ("crates/core/src/config.rs", "RerankConfig"),
-    ("crates/index/src/lib.rs", "IndexConfig"),
-];
+pub const FPRINT_STRUCTS: &[(&str, &str)] =
+    &[("crates/core/src/config.rs", "SdeaConfig"), ("crates/index/src/lib.rs", "IndexConfig")];
 
 /// The fingerprint function whose body must mention every enrolled field.
 pub const FPRINT_FN: (&str, &str) = ("crates/core/src/checkpoint.rs", "config_fingerprint");

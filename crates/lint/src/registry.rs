@@ -32,7 +32,7 @@ pub struct EnvRegistry {
 }
 
 /// One `obs_registry.toml` entry: the owner is a crate key (`"serve"`) or,
-/// for module-scoped names, a path prefix (`"crates/core/src/rerank"`).
+/// for module-scoped names, a path prefix (`"crates/core/src/candidates"`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObsEntry {
     pub owner: String,

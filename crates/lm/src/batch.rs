@@ -1,7 +1,7 @@
 //! Fixed-shape token batches and the attention padding mask.
 
 use sdea_tensor::Tensor;
-use sdea_text::{Encoded, EncodedPair};
+use sdea_text::Encoded;
 
 /// A `[b, s]` batch of token ids with padding masks, ready for
 /// [`crate::TransformerLm::forward`].
@@ -11,10 +11,6 @@ pub struct TokenBatch {
     pub ids: Vec<u32>,
     /// Flattened mask (1 = real token), `[b * s]`.
     pub mask: Vec<u8>,
-    /// Flattened segment (token-type) ids, `[b * s]`; all zero for
-    /// single-sequence batches. Only consumed when the model's
-    /// `LmConfig::segments > 0`.
-    pub segments: Vec<u8>,
     /// Batch size.
     pub b: usize,
     /// Sequence length.
@@ -34,30 +30,7 @@ impl TokenBatch {
             ids.extend_from_slice(&r.ids);
             mask.extend_from_slice(&r.mask);
         }
-        TokenBatch { ids, mask, segments: vec![0; b * s], b, s }
-    }
-
-    /// Builds a batch from encoded pairs (all must share `s`), carrying
-    /// their segment vectors.
-    pub fn from_encoded_pairs(rows: &[EncodedPair]) -> Self {
-        assert!(!rows.is_empty(), "empty batch");
-        let s = rows[0].ids.len();
-        let b = rows.len();
-        let mut ids = Vec::with_capacity(b * s);
-        let mut mask = Vec::with_capacity(b * s);
-        let mut segments = Vec::with_capacity(b * s);
-        for r in rows {
-            assert_eq!(r.ids.len(), s, "ragged batch");
-            ids.extend_from_slice(&r.ids);
-            mask.extend_from_slice(&r.mask);
-            segments.extend_from_slice(&r.segments);
-        }
-        TokenBatch { ids, mask, segments, b, s }
-    }
-
-    /// Segment ids as usize indices (for the segment-embedding gather).
-    pub fn segment_indices(&self) -> Vec<usize> {
-        self.segments.iter().map(|&i| i as usize).collect()
+        TokenBatch { ids, mask, b, s }
     }
 
     /// Token ids as usize indices (for embedding gathers).

@@ -31,12 +31,6 @@ pub struct LmConfig {
     /// model must instead *start* harmless and let fine-tuning open the
     /// attention pathways (ReZero-style). See DESIGN.md.
     pub identity_residual_init: bool,
-    /// Number of BERT-style segment (token-type) embeddings; `0` disables
-    /// the table entirely — no `lm.seg_emb` parameter is registered and
-    /// the forward pass is unchanged, so single-sequence encoders keep
-    /// their historical parameter layout bit for bit. Cross-encoders use
-    /// `2` (side a / side b of a pair).
-    pub segments: usize,
 }
 
 impl LmConfig {
@@ -52,7 +46,6 @@ impl LmConfig {
             dropout: 0.1,
             ln_eps: 1e-5,
             identity_residual_init: true,
-            segments: 0,
         }
     }
 
@@ -68,7 +61,6 @@ impl LmConfig {
             dropout: 0.0,
             ln_eps: 1e-5,
             identity_residual_init: true,
-            segments: 0,
         }
     }
 

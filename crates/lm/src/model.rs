@@ -33,8 +33,6 @@ pub struct TransformerLm {
     cfg: LmConfig,
     tok_emb: ParamId,
     pos_emb: ParamId,
-    /// Segment (token-type) table, only when `cfg.segments > 0`.
-    seg_emb: Option<ParamId>,
     emb_gain: ParamId,
     emb_bias: ParamId,
     blocks: Vec<BlockParams>,
@@ -63,17 +61,6 @@ impl TransformerLm {
         let pos_emb = store.add("lm.pos_emb", pos_init);
         let emb_gain = store.add("lm.emb_ln.gain", Tensor::ones(&[d]));
         let emb_bias = store.add("lm.emb_ln.bias", Tensor::zeros(&[d]));
-        // Registered after the embedding LayerNorm params so the rng draw
-        // sequence for tok/pos is unchanged when segments == 0, keeping the
-        // historical single-sequence parameter layout bit for bit.
-        let seg_emb = (cfg.segments > 0).then(|| {
-            let seg_init = if cfg.identity_residual_init {
-                Tensor::rand_normal(&[cfg.segments, d], 0.02 / (d as f32).sqrt(), rng)
-            } else {
-                init::bert_normal(&[cfg.segments, d], rng)
-            };
-            store.add("lm.seg_emb", seg_init)
-        });
         let out_scale = if cfg.identity_residual_init { 0.02 } else { 1.0 };
         let blocks = (0..cfg.layers)
             .map(|l| BlockParams {
@@ -99,7 +86,7 @@ impl TransformerLm {
                 ln2_bias: store.add(format!("lm.{l}.ln2.bias"), Tensor::zeros(&[d])),
             })
             .collect();
-        TransformerLm { cfg, tok_emb, pos_emb, seg_emb, emb_gain, emb_bias, blocks }
+        TransformerLm { cfg, tok_emb, pos_emb, emb_gain, emb_bias, blocks }
     }
 
     /// The model's configuration.
@@ -128,7 +115,6 @@ impl TransformerLm {
     /// All parameter ids of the model in registration order.
     pub fn all_param_ids(&self) -> Vec<ParamId> {
         let mut ids = vec![self.tok_emb, self.pos_emb, self.emb_gain, self.emb_bias];
-        ids.extend(self.seg_emb);
         for b in &self.blocks {
             ids.extend_from_slice(&[
                 b.wq, b.bq, b.wk, b.bk, b.wv, b.bv, b.wo, b.bo, b.ln1_gain, b.ln1_bias, b.w1, b.b1,
@@ -172,11 +158,6 @@ impl TransformerLm {
         let tok = g.gather_rows(tok_table, &batch.ids_usize());
         let pos = g.gather_rows(pos_table, &batch.position_indices());
         let mut x = g.add(tok, pos);
-        if let Some(seg) = self.seg_emb {
-            let seg_table = g.param(store, seg);
-            let segv = g.gather_rows(seg_table, &batch.segment_indices());
-            x = g.add(x, segv);
-        }
         let eg = g.param(store, self.emb_gain);
         let eb = g.param(store, self.emb_bias);
         x = g.layer_norm(x, eg, eb, cfg.ln_eps);
@@ -317,40 +298,6 @@ mod tests {
         assert_eq!(n, lm.all_param_ids().len(), "every LM param should receive grad");
         assert!(store.grad_norm() > 0.0);
         assert!(store.grad_norm().is_finite());
-    }
-
-    #[test]
-    fn segment_embeddings_gate_on_config() {
-        let mut rng = Rng::seed_from_u64(6);
-        let mut store = ParamStore::new();
-        let lm = TransformerLm::new(LmConfig::tiny(32), &mut store, &mut rng);
-        // segments == 0: no table registered, historical layout intact.
-        assert!(store.ids().all(|id| store.name(id) != "lm.seg_emb"));
-        assert_eq!(lm.all_param_ids().len(), store.ids().count());
-
-        let mut cfg = LmConfig::tiny(32);
-        cfg.segments = 2;
-        let mut store2 = ParamStore::new();
-        let lm2 = TransformerLm::new(cfg, &mut store2, &mut rng);
-        assert!(store2.ids().any(|id| store2.name(id) == "lm.seg_emb"));
-        assert_eq!(lm2.all_param_ids().len(), store2.ids().count());
-
-        // The segment assignment must change the encoding.
-        let mut batch = toy_batch(8);
-        let out0 = {
-            let g = Graph::new();
-            let h = lm2.forward(&g, &store2, &batch, false, &mut rng);
-            g.value_cloned(lm2.cls_states(&g, h, &batch))
-        };
-        for s in &mut batch.segments[4..8] {
-            *s = 1;
-        }
-        let out1 = {
-            let g = Graph::new();
-            let h = lm2.forward(&g, &store2, &batch, false, &mut rng);
-            g.value_cloned(lm2.cls_states(&g, h, &batch))
-        };
-        assert_ne!(out0, out1, "segment ids should alter the encoding");
     }
 
     #[test]

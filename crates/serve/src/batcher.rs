@@ -8,9 +8,7 @@
 //! `SDEA_MAX_BATCH` rows) into one `embed_token_rows` call plus one
 //! retriever search per distinct requested `k` (searching once at the
 //! batch max-k and truncating is not bitwise faithful for the quantized
-//! backend, whose rescore pool is sized from `k`). When the model state
-//! carries a reranker, each sub-batch's shortlist then takes the
-//! cross-encoder rerank pass under the `serve.rerank` span.
+//! backend, whose rescore pool is sized from `k`).
 //!
 //! Batching is invisible in the results: the encoder pads every row to
 //! the same fixed `max_seq` and pools per-row, so a query's embedding —
@@ -189,15 +187,10 @@ fn batch_loop(state: &ModelState, rx: &mpsc::Receiver<Job>, window: Duration, ma
                 sub.extend_from_slice(&emb.data()[i * d..(i + 1) * d]);
             }
             let sub = Tensor::from_vec(sub, &[idx.len(), d]);
-            let mut hits = {
+            let hits = {
                 let _span = sdea_obs::span("serve.retrieve");
                 state.retriever.search(&sub, k)
             };
-            if let Some(rr) = &state.reranker {
-                let _span = sdea_obs::span("serve.rerank");
-                let qtok: Vec<Vec<u32>> = idx.iter().map(|&i| rows[i].clone()).collect();
-                hits = rr.rerank_hits(&qtok, &hits);
-            }
             for (i, row) in idx.into_iter().zip(hits) {
                 results[i] = row;
             }

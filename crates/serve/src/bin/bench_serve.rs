@@ -4,7 +4,8 @@
 //! in-process, serves it on an ephemeral loopback port, then fires
 //! closed-loop client threads at it and reports client-observed latency
 //! (p50/p99) and throughput (QPS) per concurrency level to
-//! `results/BENCH_serve.json`.
+//! `results/BENCH_serve.json` (`results/BENCH_serve_smoke.json` with
+//! `--smoke`, so a smoke run never overwrites the full one).
 //!
 //! Closed-loop means each client thread sends its next request only after
 //! the previous response lands, so concurrency = in-flight requests and
@@ -83,7 +84,11 @@ fn main() {
         ("requests_per_thread", Json::Num(per_thread as f64)),
         ("levels", Json::Arr(level_reports)),
     ]);
-    let out = Path::new("results").join("BENCH_serve.json");
+    let out = Path::new("results").join(if smoke {
+        "BENCH_serve_smoke.json"
+    } else {
+        "BENCH_serve.json"
+    });
     if let Err(e) = std::fs::create_dir_all("results") {
         eprintln!("bench_serve: cannot create results/: {e}");
         exit(1);
@@ -135,10 +140,8 @@ fn build_fixture() -> (ServeState, Vec<String>) {
         .map(|i| ds.kg2().entity_name(sdea_kg::EntityId(i as u32)).to_string())
         .collect();
     let queries: Vec<String> = corpus.iter().take(64).cloned().collect();
-    let state = ServeState {
-        model: Arc::new(sdea_serve::ModelState { encoder, retriever, reranker: None }),
-        names,
-    };
+    let state =
+        ServeState { model: Arc::new(sdea_serve::ModelState { encoder, retriever }), names };
     (state, queries)
 }
 

@@ -29,4 +29,4 @@ pub mod state;
 
 pub use batcher::{BatchConfig, Batcher, SubmitError};
 pub use server::{Server, ShutdownHandle};
-pub use state::{ModelState, Reranker, ServeState};
+pub use state::{ModelState, ServeState};

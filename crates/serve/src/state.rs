@@ -7,33 +7,10 @@
 //! complete, validated model or not at all.
 
 use sdea_core::attr_module::AttrModule;
-use sdea_core::rerank::CrossEncoder;
-use sdea_index::{Hit, IndexConfig, IndexKind, IvfRetriever, Retriever};
+use sdea_index::{IndexConfig, IndexKind, IvfRetriever, Retriever};
 use sdea_tensor::Tensor;
 use std::io;
 use std::path::Path;
-
-/// Optional second-stage verification: a trained [`CrossEncoder`] scores
-/// each `(query, shortlist candidate)` pair and the shortlist is re-sorted
-/// by the fused score `alpha * cosine + (1 - alpha) * sigmoid(head)`. The
-/// candidate token rows are row-aligned with the retriever's index.
-pub struct Reranker {
-    /// The trained pair scorer.
-    pub cross: CrossEncoder,
-    /// Token bodies (no `[CLS]`/padding) of every indexed entity, in
-    /// retriever row order.
-    pub cand_tokens: Vec<Vec<u32>>,
-    /// Fusion weight on the stage-1 cosine score.
-    pub alpha: f32,
-}
-
-impl Reranker {
-    /// Reranks one sub-batch of shortlists; `queries[i]` is the token body
-    /// behind `hits[i]`.
-    pub fn rerank_hits(&self, queries: &[Vec<u32>], hits: &[Vec<Hit>]) -> Vec<Vec<Hit>> {
-        self.cross.rerank_hits(queries, &self.cand_tokens, hits, self.alpha)
-    }
-}
 
 /// What the batch worker needs: the encoder and the index over KG2's
 /// attribute-embedding table.
@@ -42,9 +19,6 @@ pub struct ModelState {
     pub encoder: AttrModule,
     /// Index over the KG2 attribute table; hit indices are KG2 rows.
     pub retriever: Box<dyn Retriever>,
-    /// Optional cross-encoder rerank pass over each shortlist. `None`
-    /// executes exactly the stage-1 path, bit for bit.
-    pub reranker: Option<Reranker>,
 }
 
 /// [`ModelState`] plus presentation data for responses.
@@ -101,10 +75,7 @@ impl ServeState {
         let names: Vec<String> = (0..kg2.num_entities())
             .map(|i| kg2.entity_name(sdea_kg::EntityId(i as u32)).to_string())
             .collect();
-        Ok(ServeState {
-            model: std::sync::Arc::new(ModelState { encoder, retriever, reranker: None }),
-            names,
-        })
+        Ok(ServeState { model: std::sync::Arc::new(ModelState { encoder, retriever }), names })
     }
 }
 

@@ -4,9 +4,9 @@
 //! concurrent threads — at any thread budget.
 
 use sdea_core::attr_module::AttrModule;
-use sdea_core::{CrossEncoder, SdeaConfig};
+use sdea_core::SdeaConfig;
 use sdea_index::{ExactRetriever, Hit, IndexConfig, IndexKind, IvfRetriever, Retriever};
-use sdea_serve::{BatchConfig, Batcher, ModelState, Reranker};
+use sdea_serve::{BatchConfig, Batcher, ModelState};
 use sdea_tensor::par::with_thread_budget;
 use sdea_tensor::Rng;
 use std::sync::Arc;
@@ -15,13 +15,10 @@ use std::time::Duration;
 /// Which serving stack a fixture builds; every variant must be equally
 /// batch-invisible.
 enum Stack {
-    /// Exact scan, no second stage.
+    /// Exact scan.
     Exact,
     /// Quantized IVF — the backend whose rescore pool is sized from `k`.
     QuantizedIvf,
-    /// Exact scan plus a (warm-started, untrained) cross-encoder rerank
-    /// pass over every shortlist.
-    Reranked,
 }
 
 fn fixture_with(stack: Stack) -> (Arc<ModelState>, Vec<String>) {
@@ -39,36 +36,19 @@ fn fixture_with(stack: Stack) -> (Arc<ModelState>, Vec<String>) {
             &table,
             &IndexConfig { kind: IndexKind::Ivf, nlist: 4, nprobe: 2, quantize: true },
         )),
-        Stack::Exact | Stack::Reranked => Box::new(ExactRetriever::new(&table)),
-    };
-    let reranker = match stack {
-        Stack::Reranked => Some(Reranker {
-            cross: CrossEncoder::from_encoder(&encoder, &mut rng),
-            cand_tokens: encoder.token_cache(&corpus[..16]),
-            alpha: 0.5,
-        }),
-        _ => None,
+        Stack::Exact => Box::new(ExactRetriever::new(&table)),
     };
     let queries: Vec<String> = corpus[16..].to_vec();
-    (Arc::new(ModelState { encoder, retriever, reranker }), queries)
+    (Arc::new(ModelState { encoder, retriever }), queries)
 }
 
 fn fixture() -> (Arc<ModelState>, Vec<String>) {
     fixture_with(Stack::Exact)
 }
 
-/// Ground truth: embed all queries in one direct call, search once, and
-/// apply the same rerank pass the worker would.
+/// Ground truth: embed all queries in one direct call and search once.
 fn direct(state: &ModelState, queries: &[String], k: usize) -> Vec<Vec<Hit>> {
-    let hits = state.retriever.search(&state.encoder.embed_batch(queries), k);
-    match &state.reranker {
-        None => hits,
-        Some(rr) => {
-            let qtok: Vec<Vec<u32>> =
-                queries.iter().map(|q| state.encoder.tokenize_query(q)).collect();
-            rr.rerank_hits(&qtok, &hits)
-        }
-    }
+    state.retriever.search(&state.encoder.embed_batch(queries), k)
 }
 
 /// Pushes every query through a batcher configured to coalesce them all.
@@ -135,25 +115,6 @@ fn batching_is_bitwise_invisible_single_thread() {
 #[test]
 fn batching_is_bitwise_invisible_eight_threads() {
     check_at_budget(8);
-}
-
-/// The cross-encoder rerank pass must be exactly as batch-invisible as
-/// stage 1: pair scores are per-row (fixed padding, per-row pooling), so a
-/// reranked shortlist is bitwise the same alone, coalesced, or raced —
-/// at any thread budget.
-#[test]
-fn reranked_serving_is_bitwise_invisible_at_both_budgets() {
-    for budget in [1usize, 8] {
-        with_thread_budget(budget, || {
-            let (state, queries) = fixture_with(Stack::Reranked);
-            let k = 4;
-            let expected = direct(&state, &queries, k);
-            let sequential = via_sequential(&state, &queries, k);
-            assert_bitwise_equal(&sequential, &expected, "rerank sequential vs direct");
-            let batched = via_one_batch(&state, &queries, k);
-            assert_bitwise_equal(&batched, &expected, "rerank coalesced vs direct");
-        });
-    }
 }
 
 /// Regression (quantized IVF): the backend sizes its exact-rescore pool

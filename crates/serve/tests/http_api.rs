@@ -21,8 +21,7 @@ fn serve_state() -> (ServeState, Vec<String>) {
     let retriever: Box<dyn sdea_index::Retriever> =
         Box::new(sdea_index::ExactRetriever::new(&table));
     let names: Vec<String> = (0..corpus.len()).map(|i| format!("kg2_entity_{i}")).collect();
-    let state =
-        ServeState { model: Arc::new(ModelState { encoder, retriever, reranker: None }), names };
+    let state = ServeState { model: Arc::new(ModelState { encoder, retriever }), names };
     (state, corpus)
 }
 

@@ -21,26 +21,6 @@ impl Encoded {
     }
 }
 
-/// A fixed-length encoded *pair* `[CLS] a [SEP] b [SEP] [PAD]...` with the
-/// BERT-style segment vector a cross-encoder needs.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EncodedPair {
-    /// Token ids, length exactly `max_len`.
-    pub ids: Vec<u32>,
-    /// 1 for real tokens (incl. specials), 0 for padding; same length.
-    pub mask: Vec<u8>,
-    /// Segment per position: 0 for `[CLS]`, side `a` and its `[SEP]`;
-    /// 1 for side `b` and its `[SEP]`; 0 again for padding.
-    pub segments: Vec<u8>,
-}
-
-impl EncodedPair {
-    /// Number of non-padding positions.
-    pub fn real_len(&self) -> usize {
-        self.mask.iter().map(|&m| m as usize).sum()
-    }
-}
-
 /// Encodes text against a trained [`Vocab`].
 #[derive(Clone, Debug)]
 pub struct Tokenizer {
@@ -138,34 +118,6 @@ impl Tokenizer {
         mask[..real].iter_mut().for_each(|m| *m = 1);
         Encoded { ids, mask }
     }
-
-    /// Encodes a pre-tokenized id *pair* as `[CLS] a [SEP] b [SEP]`,
-    /// truncated and padded to exactly `max_len` (which must fit the three
-    /// specials). Truncation is balanced and deterministic: the budget
-    /// `max_len - 3` splits evenly, and whatever one short side does not
-    /// use the longer side absorbs — a pure function of the two lengths,
-    /// never of batch context.
-    pub fn encode_pair_ids(&self, a: &[u32], b: &[u32], max_len: usize) -> EncodedPair {
-        assert!(max_len >= 3, "max_len must fit [CLS] a [SEP] b [SEP]");
-        let budget = max_len - 3;
-        let half = budget / 2;
-        let take_a = a.len().min(half.max(budget.saturating_sub(b.len())));
-        let take_b = b.len().min(budget - take_a);
-        let mut ids = Vec::with_capacity(max_len);
-        ids.push(self.vocab.cls_id());
-        ids.extend_from_slice(&a[..take_a]);
-        ids.push(self.vocab.sep_id());
-        let seg_boundary = ids.len();
-        ids.extend_from_slice(&b[..take_b]);
-        ids.push(self.vocab.sep_id());
-        let real = ids.len();
-        ids.resize(max_len, self.vocab.pad_id());
-        let mut mask = vec![0u8; max_len];
-        mask[..real].iter_mut().for_each(|m| *m = 1);
-        let mut segments = vec![0u8; max_len];
-        segments[seg_boundary..real].iter_mut().for_each(|s| *s = 1);
-        EncodedPair { ids, mask, segments }
-    }
 }
 
 #[cfg(test)]
@@ -248,52 +200,5 @@ mod tests {
     fn determinism() {
         let t = toy_tokenizer();
         assert_eq!(t.encode("club portugal", 16), t.encode("club portugal", 16));
-    }
-
-    #[test]
-    fn pair_layout_and_segments() {
-        let t = toy_tokenizer();
-        let a = t.text_to_ids("real madrid");
-        let b = t.text_to_ids("portugal");
-        let p = t.encode_pair_ids(&a, &b, 16);
-        assert_eq!(p.ids.len(), 16);
-        assert_eq!(p.ids[0], t.vocab().cls_id());
-        // Layout: [CLS] a [SEP] b [SEP] [PAD]...
-        let real = p.real_len();
-        assert_eq!(p.ids[real - 1], t.vocab().sep_id());
-        assert_eq!(p.ids[1 + a.len()], t.vocab().sep_id());
-        assert!(p.ids[real..].iter().all(|&i| i == t.vocab().pad_id()));
-        // Segments: 0 through the first [SEP] inclusive, 1 through the
-        // second, 0 on padding.
-        assert!(p.segments[..=1 + a.len()].iter().all(|&s| s == 0));
-        assert!(p.segments[1 + a.len() + 1..real].iter().all(|&s| s == 1));
-        assert!(p.segments[real..].iter().all(|&s| s == 0));
-        assert_eq!(real, 3 + a.len() + b.len());
-    }
-
-    #[test]
-    fn pair_truncation_is_balanced_and_deterministic() {
-        let t = toy_tokenizer();
-        let long: Vec<u32> = t.text_to_ids(&"portugal ".repeat(50));
-        let short = t.text_to_ids("madrid");
-        // Both long: the budget splits evenly.
-        let p = t.encode_pair_ids(&long, &long, 19);
-        assert_eq!(p.real_len(), 19);
-        let first_sep = p.ids.iter().position(|&i| i == t.vocab().sep_id()).unwrap();
-        assert_eq!(first_sep - 1, 8, "side a gets half the 16-token budget");
-        // One short side: the long side absorbs the slack.
-        let p = t.encode_pair_ids(&long, &short, 19);
-        assert_eq!(p.real_len(), 19);
-        let first_sep = p.ids.iter().position(|&i| i == t.vocab().sep_id()).unwrap();
-        assert_eq!(first_sep - 1, 16 - short.len(), "side a absorbs what b left");
-        // Symmetric case: b absorbs.
-        let p = t.encode_pair_ids(&short, &long, 19);
-        assert_eq!(p.real_len(), 19);
-        // Deterministic.
-        assert_eq!(t.encode_pair_ids(&long, &short, 19), t.encode_pair_ids(&long, &short, 19));
-        // Tiny budget never panics and keeps the frame.
-        let p = t.encode_pair_ids(&long, &long, 3);
-        assert_eq!(p.ids[0], t.vocab().cls_id());
-        assert_eq!(p.real_len(), 3);
     }
 }

@@ -27,7 +27,7 @@ pub mod pretokenize;
 pub mod vocab;
 pub mod wordpiece;
 
-pub use encode::{Encoded, EncodedPair, Tokenizer};
+pub use encode::{Encoded, Tokenizer};
 pub use pretokenize::pretokenize;
 pub use vocab::{SpecialToken, Vocab};
 pub use wordpiece::WordPieceTrainer;

@@ -4,9 +4,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The oracle test pins every blocked-evaluation source (table, shards,
-# retriever shortlists with and without a rescore) to the full-matrix
-# evaluation, bitwise. A cargo test filter that matches nothing passes
+# The oracle test pins every blocked-evaluation source (the in-memory
+# table and its disk shards) to the full-matrix evaluation, bitwise. A cargo test filter that matches nothing passes
 # silently, so this runs it by exact name and fails unless it ran.
 # Arguments are environment assignments for the test process.
 ORACLE_TEST="metrics::tests::evaluate_blocked_matches_the_matrix_oracle"
@@ -63,14 +62,16 @@ cargo test -q --workspace --release
 # Budget equivalence with observability on: the instrumentation layer must
 # not perturb a single bit of any computed tensor at any thread count.
 # The retrieval suite additionally pins the nprobe=all exact bypass to the
-# exact backend, and the oracle test pins every blocked-evaluation source
-# to the matrix path, bitwise.
+# exact backend, the oracle test pins every blocked-evaluation source to
+# the matrix path, and the serve suite pins batch-invisibility of the
+# exact and quantized-IVF serving stacks, all bitwise.
 for threads in 1 8; do
   echo "=== budget equivalence: SDEA_THREADS=$threads SDEA_OBS=1 ==="
   SDEA_OBS=1 SDEA_THREADS="$threads" cargo test -q --release \
     -p sdea-tensor -p sdea-eval -p sdea-core --test par_equivalence
   SDEA_OBS=1 SDEA_THREADS="$threads" cargo test -q --release \
     -p sdea-index --test equivalence
+  SDEA_OBS=1 SDEA_THREADS="$threads" cargo test -q --release -p sdea-serve --test determinism
   run_oracle_test SDEA_OBS=1 SDEA_THREADS="$threads"
 done
 
@@ -92,26 +93,6 @@ echo "=== retrieval index smoke ==="
 # full memory-tracked curve is scripts/bench_scale.sh.
 echo "=== out-of-core scaling smoke ==="
 ./target/release/bench_scale --smoke
-
-# Cross-encoder rerank smoke (seconds): small world, trains the pair head
-# on stage-1 hard negatives, asserts the rerank-off path is bitwise the
-# plain blocked path and that the rerank pass itself is deterministic,
-# written to results/BENCH_rerank_smoke.json. The full ΔHits@1/latency
-# sweep at reproduction scale is a plain bench_rerank run.
-echo "=== rerank smoke ==="
-./target/release/bench_rerank --smoke
-
-# Rerank-off bitwise equivalence: with no reranker configured, serving and
-# evaluation answers must be bit-identical to the stage-1-only paths at
-# both thread budgets (the serve suite also pins the reranked path's
-# batch-invisibility; the core property suite pins pair-scoring's
-# order/padding invariance).
-for threads in 1 8; do
-  echo "=== rerank equivalence: SDEA_THREADS=$threads ==="
-  SDEA_THREADS="$threads" cargo test -q --release -p sdea-serve --test determinism
-  run_oracle_test SDEA_THREADS="$threads"
-  SDEA_THREADS="$threads" cargo test -q --release -p sdea-core --test rerank_property
-done
 
 # Fault-injection suite: serialization atomicity/corruption at the tensor
 # layer, checkpoint quarantine-and-fall-back at the core layer.
@@ -180,7 +161,7 @@ wait "$SERVE_PID"
 echo "serve smoke: served top-1 '$SERVED' matches offline; graceful shutdown clean"
 
 # Serving latency smoke: closed-loop load at 2 concurrency levels,
-# report to results/BENCH_serve.json. Full run is scripts/bench_serve.sh.
+# report to results/BENCH_serve_smoke.json. Full run is scripts/bench_serve.sh.
 echo "=== serving latency smoke ==="
 ./target/release/bench_serve --smoke
 
