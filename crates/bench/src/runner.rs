@@ -320,9 +320,6 @@ pub fn run_full_table(
 /// `SDEA_CHECKPOINT_DIR` enables crash-safe checkpointing into the given
 /// directory (a rerun with the same configuration resumes from it,
 /// bit-identically); `SDEA_CKPT_EVERY` sets the mid-stage cadence.
-/// `SDEA_SHARD_ROWS` / `SDEA_EVAL_BLOCK_ROWS` set the out-of-core spill
-/// shard height and blocked-evaluation block height (execution knobs:
-/// results are bit-identical at any value).
 pub fn bench_sdea_config(seed: u64) -> SdeaConfig {
     let mut cfg = SdeaConfig { seed, ..SdeaConfig::default() };
     // Strict parses: a typo'd override (`SDEA_ATTR_EPOCHS=1O`) used to be
@@ -360,13 +357,6 @@ pub fn bench_sdea_config(seed: u64) -> SdeaConfig {
     }
     if let Some(v) = getu("SDEA_CKPT_EVERY") {
         cfg.checkpoint_every = v;
-    }
-    // Out-of-core execution knobs (bit-identical results at any value).
-    if let Some(v) = getu("SDEA_SHARD_ROWS") {
-        cfg.embed_shard_rows = v;
-    }
-    if let Some(v) = getu("SDEA_EVAL_BLOCK_ROWS") {
-        cfg.eval_block_rows = v;
     }
     cfg
 }

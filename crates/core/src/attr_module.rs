@@ -9,14 +9,13 @@
 
 use crate::candidates::CandidateSet;
 use crate::checkpoint::{self, Checkpointer};
-use crate::config::{Pooling, SdeaConfig};
+use crate::config::{Pooling, SdeaConfig, VALID_BLOCK_ROWS};
 use crate::loss::margin_ranking_loss;
-use sdea_eval::{evaluate_blocked, Targets};
+use sdea_eval::evaluate_blocked;
 use sdea_kg::EntityId;
 use sdea_lm::{MlmPretrainer, TokenBatch, TransformerLm};
 use sdea_tensor::{
-    init, Adam, CsrMatrix, EmbeddingShards, GradClip, Graph, Optimizer, ParamId, ParamStore, Rng,
-    Tensor, Var,
+    init, Adam, CsrMatrix, GradClip, Graph, Optimizer, ParamId, ParamStore, Rng, Tensor, Var,
 };
 use sdea_text::{Tokenizer, WordPieceTrainer};
 use std::sync::Arc;
@@ -309,41 +308,6 @@ impl AttrModule {
         out
     }
 
-    /// Out-of-core [`AttrModule::embed_all`]: embeds `cfg.embed_shard_rows`
-    /// entities at a time (0 = all in one shard) and spills each completed
-    /// window to `dir` as an atomic checksummed shard
-    /// ([`sdea_tensor::shards`]), so only one window of rows plus its tape
-    /// is ever live. Every shard write is a checkpoint: a run killed
-    /// mid-table reopens the directory (same geometry and `fingerprint`)
-    /// and re-embeds only the missing shards. Because eval-mode per-row
-    /// embeddings are independent of batch and shard composition (pinned
-    /// by `query_entry_points_match_bulk_path_bitwise`), the assembled
-    /// table is bit-identical to the in-memory path at any shard height
-    /// and thread budget.
-    pub fn embed_all_spill(
-        &self,
-        cache: &[Vec<u32>],
-        rng: &mut Rng,
-        dir: &std::path::Path,
-        fingerprint: u64,
-    ) -> std::io::Result<EmbeddingShards> {
-        let _span = sdea_obs::span("embed_all_spill");
-        let n = cache.len();
-        let d = self.cfg.embed_dim;
-        let shard_rows =
-            if self.cfg.embed_shard_rows == 0 { n.max(1) } else { self.cfg.embed_shard_rows };
-        let shards = EmbeddingShards::open_or_create(dir, n, d, shard_rows, fingerprint)?;
-        let missing = shards.missing();
-        sdea_obs::add("attr.shards_resumed", (shards.n_shards() - missing.len()) as u64);
-        for s in missing {
-            let (start, end) = shards.shard_range(s);
-            let rows: Vec<usize> = (start..end).collect();
-            let window = self.embed_rows(cache, &rows, rng);
-            shards.write_shard(s, &window)?;
-        }
-        Ok(shards)
-    }
-
     /// Algorithm 2: fine-tunes the module on seed alignments.
     ///
     /// `cache1`/`cache2` are the token caches of KG1/KG2 (row = entity id);
@@ -536,11 +500,7 @@ impl AttrModule {
         let src_rows: Vec<usize> = valid.iter().map(|&(e, _)| e.0 as usize).collect();
         let src_emb = self.embed_rows(cache1, &src_rows, rng);
         let gold: Vec<usize> = valid.iter().map(|&(_, e)| e.0 as usize).collect();
-        // Blocked: only an `eval_block_rows × n2` similarity slab is ever
-        // resident, bit-identical to the materialized matrix path. An
-        // in-memory table does no I/O, so the `Err` arm is unreachable.
-        let block = self.cfg.eval_block_rows;
-        evaluate_blocked(&src_emb, Targets::Table(&emb2_all), &gold, block).map_or(0.0, |m| m.hits1)
+        evaluate_blocked(&src_emb, &emb2_all, &gold, VALID_BLOCK_ROWS).hits1
     }
 }
 
@@ -630,85 +590,5 @@ mod tests {
         let a = module.embed_all(&cache, &mut rng);
         let b = module.embed_all(&cache, &mut rng);
         assert_eq!(a, b);
-    }
-
-    fn spill_dir(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("sdea_attr_spill_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    /// The tentpole equivalence: the out-of-core spill path must assemble a
-    /// table bit-identical to the in-memory `embed_all` at every shard
-    /// height (1, a ragged 7, one-shard-for-everything) and thread budget.
-    #[test]
-    fn spilled_embedding_matches_in_memory_bitwise() {
-        use sdea_tensor::with_thread_budget;
-        let (s1, _, _) = toy();
-        let mut rng = Rng::seed_from_u64(11);
-        let mut cfg = SdeaConfig::test_tiny();
-        cfg.mlm_epochs = 0;
-        let module = AttrModule::build(&cfg, &s1, &mut rng);
-        let cache = module.token_cache(&s1);
-        let reference = module.embed_all(&cache, &mut rng);
-        let base = spill_dir("equiv");
-        for threads in [1usize, 8] {
-            for shard_rows in [1usize, 7, 0] {
-                // Rebuild from the same seed with only the execution knob
-                // changed: identical weights, different spill geometry.
-                let mut knob_cfg = cfg.clone();
-                knob_cfg.embed_shard_rows = shard_rows;
-                let module = AttrModule::build(&knob_cfg, &s1, &mut Rng::seed_from_u64(11));
-                let dir = base.join(format!("t{threads}_h{shard_rows}"));
-                let spilled = with_thread_budget(threads, || {
-                    module.embed_all_spill(&cache, &mut rng, &dir, 42).expect("spill")
-                });
-                assert!(spilled.is_complete());
-                let assembled = spilled.to_tensor().expect("assemble");
-                assert_eq!(
-                    assembled.data(),
-                    reference.data(),
-                    "threads {threads} shard_rows {shard_rows}"
-                );
-            }
-        }
-        let _ = std::fs::remove_dir_all(&base);
-    }
-
-    /// Kill-and-resume: shard writes are atomic, so a run killed mid-table
-    /// leaves a *subset of complete shards* (no partial file — pinned by
-    /// the fault-injection suite in `sdea_tensor::shards`). Simulate that
-    /// state by deleting two shards of a finished spill, then resume: only
-    /// the missing shards are re-embedded (surviving files are untouched
-    /// byte-for-byte) and the assembled table is bit-identical.
-    #[test]
-    fn interrupted_spill_resumes_to_identical_bytes() {
-        let (s1, _, _) = toy();
-        let mut rng = Rng::seed_from_u64(13);
-        let mut cfg = SdeaConfig::test_tiny();
-        cfg.mlm_epochs = 0;
-        cfg.embed_shard_rows = 7; // 24 rows -> shards of 7,7,7,3
-        let module = AttrModule::build(&cfg, &s1, &mut rng);
-        let cache = module.token_cache(&s1);
-        let reference = module.embed_all(&cache, &mut rng);
-        let dir = spill_dir("resume");
-        let first = module.embed_all_spill(&cache, &mut rng, &dir, 7).expect("first spill");
-        assert_eq!(first.n_shards(), 4);
-        // "Kill" after shards 0 and 2 landed: drop 1 and 3.
-        let survivor = dir.join("shard_000000.sdes");
-        let survivor_bytes = std::fs::read(&survivor).expect("read survivor");
-        for s in [1usize, 3] {
-            std::fs::remove_file(dir.join(format!("shard_{s:06}.sdes"))).expect("simulate kill");
-        }
-        let resumed = module.embed_all_spill(&cache, &mut rng, &dir, 7).expect("resume");
-        assert!(resumed.is_complete());
-        assert_eq!(
-            std::fs::read(&survivor).expect("re-read survivor"),
-            survivor_bytes,
-            "resume must not rewrite surviving shards"
-        );
-        assert_eq!(resumed.to_tensor().expect("assemble").data(), reference.data());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -791,8 +791,6 @@ mod tests {
         knobs.obs = false;
         knobs.checkpoint_every = 5;
         knobs.checkpoint_dir = Some("elsewhere".into());
-        knobs.embed_shard_rows = 3;
-        knobs.eval_block_rows = 7;
         assert_eq!(base, config_fingerprint(&knobs, RelVariant::Full, (10, 10), (4, 2), None));
     }
 

@@ -3,6 +3,12 @@
 use sdea_index::IndexConfig;
 use sdea_lm::LmConfig;
 
+/// Query rows per block when validation ranks through
+/// `sdea_eval::evaluate_blocked`: only a `VALID_BLOCK_ROWS × n2` similarity
+/// slab is resident at a time, and the result is bit-identical to the
+/// full-matrix path at any block height.
+pub const VALID_BLOCK_ROWS: usize = 512;
+
 /// Configuration of the full SDEA pipeline.
 ///
 /// Paper values (Section V-A3) with our CPU-scale defaults in parentheses:
@@ -86,21 +92,6 @@ pub struct SdeaConfig {
     /// `checkpoint_dir`. Like `threads`/`obs`, this never changes results.
     // fingerprint: excluded(checkpoint cadence; never changes results)
     pub checkpoint_every: usize,
-    /// Rows per spilled embedding shard when the final `H_a` tables stream
-    /// through the out-of-core path (`AttrModule::embed_all_spill`); 0
-    /// means one shard holding the whole table. Execution knob: per-row
-    /// embeddings are independent of batch and shard composition, so any
-    /// value yields bit-identical tables (pinned by the equivalence
-    /// suites) and this never enters the config fingerprint.
-    // fingerprint: excluded(spill granularity; shard composition never changes tables)
-    pub embed_shard_rows: usize,
-    /// Query rows per block in blocked evaluation
-    /// (`sdea_eval::evaluate_blocked`); 0 evaluates all queries in one
-    /// block. Execution knob: blocked evaluation is bit-identical to the
-    /// materialized-matrix path at any value, only the peak memory of the
-    /// similarity block changes.
-    // fingerprint: excluded(blocking factor; bit-identical to the materialized path)
-    pub eval_block_rows: usize,
     /// Retrieval backend for every ranking path (candidate generation,
     /// bootstrap mutual-nearest pairs). The default exact backend is
     /// bit-identical to the historical full-matrix scans; an IVF backend
@@ -165,8 +156,6 @@ impl Default for SdeaConfig {
             obs: true,
             checkpoint_dir: None,
             checkpoint_every: 1,
-            embed_shard_rows: 2048,
-            eval_block_rows: 512,
             index: IndexConfig::default(),
         }
     }
@@ -205,8 +194,6 @@ impl SdeaConfig {
             obs: true,
             checkpoint_dir: None,
             checkpoint_every: 1,
-            embed_shard_rows: 2048,
-            eval_block_rows: 512,
             index: IndexConfig::default(),
         }
     }

@@ -169,32 +169,8 @@ impl<'a> SdeaPipeline<'a> {
                     &mut fit_rng,
                     ckpt.as_mut(),
                 );
-                // With a checkpoint directory, the final tables go through
-                // the out-of-core spill path: each embedded window lands on
-                // disk as an atomic shard, so a run killed mid-table
-                // resumes at the first missing shard instead of re-embedding
-                // everything. Bit-identical to the in-memory path (per-row
-                // embeddings are independent of shard composition), and a
-                // spill failure degrades to in-memory like every other
-                // checkpoint write failure — it never kills a healthy run.
-                let spill = |cache: &[Vec<u32>], sub: &str, rng: &mut Rng| {
-                    match &self
-                    .cfg
-                    .checkpoint_dir
-                {
-                    Some(dir) => attr
-                        .embed_all_spill(cache, rng, &dir.join(sub), fingerprint)
-                        .and_then(|s| s.to_tensor())
-                        .unwrap_or_else(|e| {
-                            eprintln!("warning: embedding spill to {sub} failed ({e}); continuing in memory");
-                            sdea_obs::add("ckpt.write_failures", 1);
-                            attr.embed_all(cache, rng)
-                        }),
-                    None => attr.embed_all(cache, rng),
-                }
-                };
-                let h_a1 = spill(&cache1, "h_a1_shards", &mut fit_rng);
-                let h_a2 = spill(&cache2, "h_a2_shards", &mut fit_rng);
+                let h_a1 = attr.embed_all(&cache1, &mut fit_rng);
+                let h_a2 = attr.embed_all(&cache2, &mut fit_rng);
                 if let Some(c) = ckpt.as_mut() {
                     if let Err(e) = c.record_attr_done(&h_a1, &h_a2, &attr_report) {
                         eprintln!("warning: attribute-stage checkpoint failed ({e}); continuing");

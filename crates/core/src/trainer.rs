@@ -8,11 +8,11 @@
 
 use crate::candidates::CandidateSet;
 use crate::checkpoint::{self, Checkpointer};
-use crate::config::SdeaConfig;
+use crate::config::{SdeaConfig, VALID_BLOCK_ROWS};
 use crate::joint::JointHead;
 use crate::loss::margin_ranking_loss;
 use crate::rel_module::{NeighborBatch, RelModule, RelVariant};
-use sdea_eval::{evaluate_blocked, Targets};
+use sdea_eval::evaluate_blocked;
 use sdea_kg::{EntityId, KnowledgeGraph};
 use sdea_tensor::{Adam, GradClip, Graph, Optimizer, ParamStore, Rng, Tensor};
 
@@ -251,7 +251,7 @@ impl RelStage {
             // stopping never discards trained weights.
             let hits1 = if has_valid {
                 let _span = sdea_obs::span("validate");
-                self.validate(h_a1, h_a2, valid, cfg.eval_block_rows)
+                self.validate(h_a1, h_a2, valid)
             } else {
                 0.0
             };
@@ -302,17 +302,9 @@ impl RelStage {
         report
     }
 
-    /// Validation Hits@1 on the full `H_ent`. The similarity scan runs in
-    /// blocks of `block_rows` query rows (`0` = one block), so only an
-    /// `block_rows × n2` slab is ever resident — bit-identical to the
-    /// materialized matrix path at any block size.
-    pub fn validate(
-        &self,
-        h_a1: &Tensor,
-        h_a2: &Tensor,
-        valid: &[(EntityId, EntityId)],
-        block_rows: usize,
-    ) -> f64 {
+    /// Validation Hits@1 on the full `H_ent`, ranked in blocks of
+    /// [`VALID_BLOCK_ROWS`] query rows.
+    pub fn validate(&self, h_a1: &Tensor, h_a2: &Tensor, valid: &[(EntityId, EntityId)]) -> f64 {
         if valid.is_empty() {
             return 0.0;
         }
@@ -321,8 +313,7 @@ impl RelStage {
         let src = self.full_embeddings(h_a1, true, &sources);
         let tgt = self.full_embeddings(h_a2, false, &all_targets);
         let gold: Vec<usize> = valid.iter().map(|&(_, e)| e.0 as usize).collect();
-        // An in-memory table does no I/O, so the `Err` arm is unreachable.
-        evaluate_blocked(&src, Targets::Table(&tgt), &gold, block_rows).map_or(0.0, |m| m.hits1)
+        evaluate_blocked(&src, &tgt, &gold, VALID_BLOCK_ROWS).hits1
     }
 }
 
@@ -367,9 +358,9 @@ mod tests {
             (0..n as u32).map(|i| (EntityId(i), EntityId(i))).collect();
         let train = &pairs[..24];
         let valid = &pairs[24..];
-        let before = stage.validate(&h1, &h2, valid, cfg.eval_block_rows);
+        let before = stage.validate(&h1, &h2, valid);
         let report = stage.fit(&cfg, &h1, &h2, train, valid, &mut rng);
-        let after = stage.validate(&h1, &h2, valid, cfg.eval_block_rows);
+        let after = stage.validate(&h1, &h2, valid);
         assert!(after >= before * 0.9, "rel stage regressed: {before} -> {after}");
         assert!(report.epoch_losses.iter().all(|l| l.is_finite()));
     }

@@ -2,18 +2,16 @@
 //!
 //! Two entry points live here. [`evaluate_ranking`] scores a pre-computed
 //! `n × m` similarity matrix. [`evaluate_blocked`] takes the query
-//! embeddings and a [`Targets`] source — an in-memory table or a sharded
-//! table on disk — and walks the queries in bounded row blocks, so only
-//! one `block × m` slab is ever resident and the full matrix never
-//! exists. Both rank every row with the same [`rank_of`] tie rule and
-//! accumulate metrics serially in global row order through [`RankAccum`],
-//! so the blocked results are **bit-identical** to the matrix ones at any
-//! block size and any `SDEA_THREADS` budget.
+//! embeddings and the target table and walks the queries in bounded row
+//! blocks, so only one `block × m` slab is ever resident and the full
+//! matrix never exists. Both rank every row with the same [`rank_of`] tie
+//! rule and accumulate metrics serially in global row order through
+//! [`RankAccum`], so the blocked results are **bit-identical** to the
+//! matrix ones at any block size and any `SDEA_THREADS` budget.
 
 use crate::similarity::{desc_nan_last, SimilarityMatrix};
-use sdea_tensor::{EmbeddingShards, Tensor};
+use sdea_tensor::Tensor;
 use std::cmp::Ordering;
-use std::io;
 
 /// The paper's three reported metrics.
 #[derive(Copy, Clone, Debug, PartialEq, Default)]
@@ -137,97 +135,45 @@ pub fn evaluate_ranking(sim: &SimilarityMatrix, gold: &[usize]) -> AlignmentMetr
     acc.finish()
 }
 
-/// Where [`evaluate_blocked`] finds the target side of the ranking.
-pub enum Targets<'a> {
-    /// An in-memory target embedding table `[m, d]`, normalized once.
-    Table(&'a Tensor),
-    /// A target table spilled to disk shards, read one shard at a time for
-    /// every query block, so the full table is never resident either.
-    Shards(&'a EmbeddingShards),
-}
-
-impl Targets<'_> {
-    /// `(rows, width)` of the target table.
-    fn shape(&self) -> (usize, usize) {
-        match self {
-            Targets::Table(t) => {
-                assert_eq!(t.rank(), 2, "evaluate_blocked expects a rank-2 target table");
-                (t.shape()[0], t.shape()[1])
-            }
-            Targets::Shards(s) => (s.len(), s.dim()),
-        }
-    }
-}
-
 /// Blocked evaluation: ranks the gold target of every row of `queries`
-/// (`gold[i]` is the target row that is query `i`'s true match), walking
-/// the queries in `block_rows`-high blocks (0 means one block). Only one
-/// block's similarity slab is resident at a time.
+/// (`gold[i]` is the row of `targets` that is query `i`'s true match),
+/// walking the queries in `block_rows`-high blocks (0 means one block).
+/// Only one block's similarity slab is resident at a time.
 ///
 /// The result is bit-identical to
-/// `evaluate_ranking(&cosine_matrix(queries, table), gold)` at any block
-/// size, shard height and thread budget: row normalization and the
-/// `matmul_t` kernel are per-row/per-element operations (a block row equals
-/// the corresponding full-matrix row bitwise, and so does a shard's), and
-/// [`RankAccum`] replays the same serial f64 additions in global row order.
-///
-/// Only [`Targets::Shards`] does I/O, so only it can return `Err`.
+/// `evaluate_ranking(&cosine_matrix(queries, targets), gold)` at any block
+/// size and thread budget: row normalization and the `matmul_t` kernel are
+/// per-row/per-element operations (a block row equals the corresponding
+/// full-matrix row bitwise), and [`RankAccum`] replays the same serial f64
+/// additions in global row order.
 ///
 /// Panics with a descriptive message on a gold index out of range or a
 /// shape mismatch.
 pub fn evaluate_blocked(
     queries: &Tensor,
-    targets: Targets<'_>,
+    targets: &Tensor,
     gold: &[usize],
     block_rows: usize,
-) -> io::Result<AlignmentMetrics> {
+) -> AlignmentMetrics {
     assert_eq!(queries.rank(), 2, "evaluate_blocked expects rank-2 queries");
+    assert_eq!(targets.rank(), 2, "evaluate_blocked expects a rank-2 target table");
     assert_eq!(queries.shape()[0], gold.len(), "one gold target per query row");
-    let (m, d) = targets.shape();
-    assert_eq!(queries.shape()[1], d, "embedding width mismatch");
+    let m = targets.shape()[0];
+    assert_eq!(queries.shape()[1], targets.shape()[1], "embedding width mismatch");
     check_gold(gold, m);
     let _span = sdea_obs::span("eval.evaluate_ranking_blocked");
     let n = queries.shape()[0];
     let block = if block_rows == 0 { n.max(1) } else { block_rows };
-    // The in-memory table is normalized once here, not once per block;
-    // shards are normalized one at a time as they are read.
-    let table_n = match targets {
-        Targets::Table(t) => t.normalized_view(),
-        Targets::Shards(_) => Tensor::zeros(&[0, d]),
-    };
+    // The table is normalized once here, not once per block.
+    let table_n = targets.normalized_view();
     let mut acc = RankAccum::default();
     for start in (0..n).step_by(block) {
         let end = (start + block).min(n);
         let q = row_block(queries, start, end);
-        let gold_b = &gold[start..end];
         sdea_obs::add("eval.cosine_cells", ((end - start) * m) as u64);
-        match targets {
-            Targets::Table(_) => {
-                acc.push_slab(q.normalized_view().matmul_t(&table_n).data(), m, gold_b);
-            }
-            Targets::Shards(shards) => {
-                acc.push_slab(&shard_slab(&q.normalized_view(), shards)?, m, gold_b);
-            }
-        }
+        acc.push_slab(q.normalized_view().matmul_t(&table_n).data(), m, &gold[start..end]);
     }
-    Ok(acc.finish())
-}
-
-/// The `q × m` cosine slab of the normalized query block `q_n` against a
-/// sharded table, assembled column segment by column segment (one segment
-/// per shard, each shard normalized on its own).
-fn shard_slab(q_n: &Tensor, shards: &EmbeddingShards) -> io::Result<Vec<f32>> {
-    let (qb, m) = (q_n.shape()[0], shards.len());
-    let mut slab = vec![0.0f32; qb * m];
-    for s in 0..shards.n_shards() {
-        let (c0, c1) = shards.shard_range(s);
-        let w = c1 - c0;
-        let cols = q_n.matmul_t(&shards.read_shard(s)?.normalized_view());
-        for r in 0..qb {
-            slab[r * m + c0..r * m + c1].copy_from_slice(&cols.data()[r * w..(r + 1) * w]);
-        }
-    }
-    Ok(slab)
+    acc.finish()
 }
 
 /// Copies rows `r0..r1` of a rank-2 tensor into a standalone block tensor.
@@ -357,57 +303,19 @@ mod tests {
         (src, tgt, gold)
     }
 
-    /// [`evaluate_blocked`] at a thread budget. The sources under test are
-    /// in memory or freshly written, so I/O failure is a test failure.
-    fn blocked_at(
-        threads: usize,
-        src: &Tensor,
-        targets: Targets<'_>,
-        gold: &[usize],
-        block: usize,
-    ) -> AlignmentMetrics {
-        with_thread_budget(threads, || evaluate_blocked(src, targets, gold, block))
-            .expect("blocked evaluation")
-    }
-
-    /// Writes `t` to a fresh shard directory with `shard_rows`-high shards.
-    fn spill(t: &Tensor, dir: &std::path::Path, shard_rows: usize) -> EmbeddingShards {
-        let (n, d) = (t.shape()[0], t.shape()[1]);
-        let shards =
-            EmbeddingShards::open_or_create(dir, n, d, shard_rows, 0xfeed).expect("create shards");
-        for s in 0..shards.n_shards() {
-            let (r0, r1) = shards.shard_range(s);
-            shards.write_shard(s, &row_block(t, r0, r1)).expect("write shard");
-        }
-        shards
-    }
-
-    /// The oracle test: every target source, at every block height and
-    /// thread budget, is bitwise the full-matrix evaluation. Sources: the
-    /// in-memory table and shards of height 1, 7 and all rows.
+    /// The oracle test: the blocked driver, at every block height and
+    /// thread budget, is bitwise the full-matrix evaluation.
     #[test]
     fn evaluate_blocked_matches_the_matrix_oracle() {
         let (src, tgt, gold) = random_pair();
-        let m = tgt.shape()[0];
         let oracle = evaluate_ranking(&cosine_matrix(&src, &tgt), &gold);
-        let base = std::env::temp_dir().join(format!("sdea_eval_oracle_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&base);
-        let shards: Vec<(usize, EmbeddingShards)> = [1usize, 7, m]
-            .iter()
-            .map(|&h| (h, spill(&tgt, &base.join(format!("h{h}")), h)))
-            .collect();
         for threads in [1usize, 8] {
             for block in [0usize, 1, 7, 30] {
-                let ctx = |name: &str| format!("{name}, block {block}, threads {threads}");
-                let got = blocked_at(threads, &src, Targets::Table(&tgt), &gold, block);
-                assert_bitwise(&oracle, &got, &ctx("table"));
-                for (h, s) in &shards {
-                    let got = blocked_at(threads, &src, Targets::Shards(s), &gold, block);
-                    assert_bitwise(&oracle, &got, &ctx(&format!("shards of {h}")));
-                }
+                let got =
+                    with_thread_budget(threads, || evaluate_blocked(&src, &tgt, &gold, block));
+                assert_bitwise(&oracle, &got, &format!("block {block}, threads {threads}"));
             }
         }
-        let _ = std::fs::remove_dir_all(&base);
     }
 
     /// Regression (serving hardening): zero-norm embedding rows — e.g. an

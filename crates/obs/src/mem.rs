@@ -1,10 +1,10 @@
 //! Memory accounting: a counting global allocator plus Linux peak-RSS.
 //!
 //! Past toy scale, "did it fit in RAM" is as much a result as wall time —
-//! the out-of-core embedding and blocked-evaluation paths exist precisely
-//! to bound the working set, and a claim like "sharded peak < 50% of the
-//! materialized path" needs a measurement, not an estimate. This module
-//! provides two complementary ones:
+//! blocked evaluation exists precisely to bound the working set, and a
+//! claim like "blocked peak < 50% of the materialized path" needs a
+//! measurement, not an estimate. This module provides two complementary
+//! ones:
 //!
 //! * **Allocator counters.** [`CountingAlloc`] wraps the [`System`]
 //!   allocator and keeps four relaxed atomics: bytes ever allocated,
@@ -26,8 +26,8 @@
 //! Like the rest of `sdea-obs`, nothing here feeds back into any
 //! computation: the counters measure, they never steer. Peaks observed
 //! under concurrent allocation are accurate to the interleaving of the
-//! add and max operations — exact for the single-threaded phases the
-//! scaling benchmark measures, and a tight lower bound elsewhere.
+//! add and max operations — exact when one thread allocates at a time,
+//! and a tight lower bound elsewhere.
 
 // lint: the GlobalAlloc impl below is the workspace's one sanctioned use
 // of `unsafe` — a counting pass-through to the System allocator. The obs

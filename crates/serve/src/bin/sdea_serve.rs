@@ -116,7 +116,17 @@ fn cmd_query(args: &[String]) -> i32 {
         eprintln!("usage: sdea_serve query <addr> <text> [--k K] [--raw]");
         return 2;
     };
-    let k = flag_value(args, "--k").and_then(|v| v.parse::<usize>().ok()).unwrap_or(5);
+    let k = match sdea_obs::env::check_parse::<usize>(
+        "--k",
+        flag_value(args, "--k").as_deref(),
+        "a non-negative integer",
+    ) {
+        Ok(k) => k.unwrap_or(5),
+        Err(msg) => {
+            eprintln!("sdea_serve: {msg}");
+            return 2;
+        }
+    };
     let body = sdea_obs::json::Json::obj(vec![
         ("text", sdea_obs::json::Json::str(text.as_str())),
         ("k", sdea_obs::json::Json::Num(k as f64)),

@@ -298,7 +298,7 @@ impl DatasetProfile {
     /// entity and triple counts scale near-linearly while every
     /// distributional phenomenon the profile encodes (density, long tails,
     /// name formats) is preserved — the knob behind the `--scale` CLI flag
-    /// and the out-of-core scaling benchmarks. `factor = 1` is the
+    /// and the memory scaling benchmark. `factor = 1` is the
     /// identity; determinism is unchanged (same seed ⇒ same bytes).
     pub fn scaled(mut self, factor: usize) -> Self {
         assert!(factor >= 1, "scale factor must be >= 1");

@@ -39,7 +39,6 @@ pub mod pool;
 pub mod qkernels;
 pub mod rng;
 pub mod serialize;
-pub mod shards;
 pub mod sparse;
 pub mod tensor;
 
@@ -51,6 +50,5 @@ pub use par::{
 };
 pub use pool::BufferPool;
 pub use rng::Rng;
-pub use shards::EmbeddingShards;
 pub use sparse::CsrMatrix;
 pub use tensor::Tensor;

@@ -4,9 +4,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The oracle test pins every blocked-evaluation source (the in-memory
-# table and its disk shards) to the full-matrix evaluation, bitwise. A cargo test filter that matches nothing passes
-# silently, so this runs it by exact name and fails unless it ran.
+# The oracle test pins blocked evaluation, at every block height, to the
+# full-matrix evaluation, bitwise. A cargo test filter that matches
+# nothing passes silently, so this runs it by exact name and fails unless
+# it ran.
 # Arguments are environment assignments for the test process.
 ORACLE_TEST="metrics::tests::evaluate_blocked_matches_the_matrix_oracle"
 run_oracle_test() {
@@ -62,8 +63,8 @@ cargo test -q --workspace --release
 # Budget equivalence with observability on: the instrumentation layer must
 # not perturb a single bit of any computed tensor at any thread count.
 # The retrieval suite additionally pins the nprobe=all exact bypass to the
-# exact backend, the oracle test pins every blocked-evaluation source to
-# the matrix path, and the serve suite pins batch-invisibility of the
+# exact backend, the oracle test pins blocked evaluation to the matrix
+# path, and the serve suite pins batch-invisibility of the
 # exact and quantized-IVF serving stacks, all bitwise.
 for threads in 1 8; do
   echo "=== budget equivalence: SDEA_THREADS=$threads SDEA_OBS=1 ==="
@@ -87,11 +88,11 @@ echo "=== kernel throughput (quick) ==="
 echo "=== retrieval index smoke ==="
 ./target/release/bench_index --smoke
 
-# Out-of-core scaling smoke (seconds): sharded embed + blocked-shard
-# evaluation vs full materialization at two small scale points, asserting
-# bitwise-equal metrics, written to results/BENCH_scale_smoke.json. The
-# full memory-tracked curve is scripts/bench_scale.sh.
-echo "=== out-of-core scaling smoke ==="
+# Memory scaling smoke (seconds): blocked evaluation vs the full
+# similarity matrix at two small scale points, asserting bitwise-equal
+# metrics, written to results/BENCH_scale_smoke.json. The full
+# memory-tracked curve is scripts/bench_scale.sh.
+echo "=== memory scaling smoke ==="
 ./target/release/bench_scale --smoke
 
 # Fault-injection suite: serialization atomicity/corruption at the tensor
@@ -105,31 +106,6 @@ cargo test -q --release -p sdea-core -- checkpoint::
 # child processes; covers SDEA_THREADS 1 and 8).
 echo "=== kill-and-resume smoke ==="
 cargo test -q --release --test checkpoint_resume
-
-# Shard-spill kill-and-resume smoke (drives the real binary as child
-# processes): with a checkpoint directory the final embedding tables
-# stream to disk shards, and every shard write is a checkpoint. A run
-# killed by an injected fault during the second shard write (exit 137)
-# must, on rerun, resume at the first missing shard and produce a model
-# byte-identical to an uninterrupted reference run.
-echo "=== shard-spill kill-and-resume smoke ==="
-SPILL_TMP="$(mktemp -d)"
-trap 'rm -rf "$SPILL_TMP"' EXIT
-./target/release/sdea generate zh_en "$SPILL_TMP/ds" --links 60 --seed 7
-SDEA_SHARD_ROWS=8 ./target/release/sdea align "$SPILL_TMP/ds" --tiny --seed 7 \
-  --checkpoint "$SPILL_TMP/ckpt_ref" --out "$SPILL_TMP/ref.sdt"
-set +e
-SDEA_SHARD_ROWS=8 SDEA_FAULT=shards.write:2:kill ./target/release/sdea align \
-  "$SPILL_TMP/ds" --tiny --seed 7 --checkpoint "$SPILL_TMP/ckpt" --out "$SPILL_TMP/resumed.sdt"
-STATUS=$?
-set -e
-[ "$STATUS" -eq 137 ] || { echo "spill smoke: expected kill exit 137, got $STATUS"; exit 1; }
-SDEA_SHARD_ROWS=8 ./target/release/sdea align "$SPILL_TMP/ds" --tiny --seed 7 \
-  --checkpoint "$SPILL_TMP/ckpt" --out "$SPILL_TMP/resumed.sdt"
-cmp "$SPILL_TMP/ref.sdt" "$SPILL_TMP/resumed.sdt" \
-  || { echo "spill smoke: resumed model differs from uninterrupted reference"; exit 1; }
-echo "spill smoke: resumed model byte-identical after mid-shard kill"
-rm -rf "$SPILL_TMP"
 
 # Serving smoke (drives the real binaries): train a tiny model, export
 # the query encoder, serve it over HTTP, and require the served top-1 to

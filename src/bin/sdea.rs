@@ -4,7 +4,7 @@
 //!
 //! * `generate <profile> <dir> [--links N] [--seed S] [--scale F]` —
 //!   generate a benchmark dataset and write it as OpenEA-style TSV files;
-//!   `--scale F` grows the profile F× for out-of-core scale testing.
+//!   `--scale F` grows the profile F× for scale testing.
 //! * `align <dir> [--seed S] [--out model.sdt] [--encoder-out enc.sdqe]
 //!   [--matching] [--tiny] [--checkpoint <ckpt-dir>] [--ckpt-every N]` —
 //!   load a dataset directory (as written by `generate`, or any
@@ -23,14 +23,19 @@
 //!   used by CI to prove the served answer matches this path.
 //! * `profiles` — list available dataset profiles.
 //!
+//! A malformed numeric flag value (`--links 40x`) exits 2 with a message
+//! naming the flag; it never falls back to the default.
+//!
 //! Dataset directory layout (`generate` writes, `align`/`rank` read):
 //! `rel_triples_1  attr_triples_1  rel_triples_2  attr_triples_2  ent_links`.
 
 #![forbid(unsafe_code)]
 
 use sdea::prelude::*;
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::process::exit;
+use std::str::FromStr;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -75,6 +80,17 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
 }
 
+/// Parses the value of a numeric flag: `None` when the flag is absent,
+/// exit 2 with a message naming the flag when its value is malformed.
+fn numeric_flag<T: FromStr>(args: &[String], flag: &str, expected: &str) -> Option<T> {
+    sdea::obs::env::check_parse(flag, flag_value(args, flag).as_deref(), expected).unwrap_or_else(
+        |msg| {
+            eprintln!("sdea: {msg}");
+            exit(2)
+        },
+    )
+}
+
 fn profile_by_name(name: &str, links: usize, seed: u64) -> Option<DatasetProfile> {
     Some(match name {
         "zh_en" => DatasetProfile::dbp15k_zh_en(links, seed),
@@ -94,18 +110,12 @@ fn cmd_generate(args: &[String]) -> i32 {
         eprintln!("usage: sdea generate <profile> <dir> [--links N] [--seed S] [--scale F]");
         return 2;
     };
-    let links = flag_value(args, "--links").and_then(|v| v.parse().ok()).unwrap_or(300);
-    let seed = flag_value(args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(2022);
+    let links = numeric_flag(args, "--links", "a non-negative integer").unwrap_or(300);
+    let seed = numeric_flag(args, "--seed", "an unsigned integer seed").unwrap_or(2022);
     // --scale F grows the profile F× (entities and triples scale
     // near-linearly with the link target; see DatasetProfile::scaled).
-    let scale = match flag_value(args, "--scale").map(|v| v.parse::<usize>()) {
-        None => 1,
-        Some(Ok(f)) if f >= 1 => f,
-        Some(_) => {
-            eprintln!("--scale expects an integer factor >= 1");
-            return 2;
-        }
-    };
+    let scale =
+        numeric_flag(args, "--scale", "an integer factor >= 1").map_or(1, NonZeroUsize::get);
     let Some(profile) = profile_by_name(profile_name, links, seed) else {
         eprintln!("unknown profile {profile_name}; see `sdea profiles`");
         return 2;
@@ -151,7 +161,8 @@ fn cmd_align(args: &[String]) -> i32 {
         );
         return 2;
     };
-    let seed = flag_value(args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(2022);
+    let seed = numeric_flag(args, "--seed", "an unsigned integer seed").unwrap_or(2022);
+    let ckpt_every = numeric_flag(args, "--ckpt-every", "a non-negative integer");
     let (kg1, kg2, seeds) = match load_dir(Path::new(dir)) {
         Ok(x) => x,
         Err(e) => {
@@ -175,16 +186,8 @@ fn cmd_align(args: &[String]) -> i32 {
     // directory, and a rerun pointed at the same directory resumes from
     // the last intact state, bit-identically.
     cfg.checkpoint_dir = flag_value(args, "--checkpoint").map(PathBuf::from);
-    if let Some(every) = flag_value(args, "--ckpt-every").and_then(|v| v.parse().ok()) {
+    if let Some(every) = ckpt_every {
         cfg.checkpoint_every = every;
-    }
-    // SDEA_SHARD_ROWS overrides the embedding spill shard height — an
-    // execution knob (bit-identical results at any value) exposed for the
-    // out-of-core smoke tests; strict parse, exit 2 on a malformed value.
-    if let Some(rows) =
-        sdea::obs::env::parse_or_exit::<usize>("SDEA_SHARD_ROWS", "a non-negative integer")
-    {
-        cfg.embed_shard_rows = rows;
     }
     eprintln!(
         "training SDEA on {} + {} entities ({} train / {} valid / {} test links)...",
@@ -251,7 +254,7 @@ fn cmd_rank(args: &[String]) -> i32 {
         );
         return 2;
     };
-    let top = flag_value(args, "--top").and_then(|v| v.parse().ok()).unwrap_or(5usize);
+    let top = numeric_flag(args, "--top", "a non-negative integer").unwrap_or(5);
     let attr_space = args.iter().any(|a| a == "--attr");
     let (kg1, kg2, _) = match load_dir(Path::new(dir)) {
         Ok(x) => x,

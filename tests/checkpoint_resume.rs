@@ -1,9 +1,11 @@
 //! Kill-and-resume integration test: a training process killed mid-write by
-//! an injected fault (`SDEA_FAULT=stage.rel.write:2:kill`, simulating a
-//! crash / OOM-kill during the relation stage) must, when rerun against the
-//! same checkpoint directory, finish and produce a model **byte-identical**
-//! to an uninterrupted run — at thread budgets 1 and 8, and identically
-//! across the two budgets.
+//! an injected fault (simulating a crash / OOM-kill) must, when rerun
+//! against the same checkpoint directory, finish and produce a model
+//! **byte-identical** to an uninterrupted run — at thread budgets 1 and 8,
+//! and identically across the two budgets. Two kill points are covered:
+//! `artifact.write:1:kill` dies while the attribute-stage boundary
+//! artifact is written, right after the final `H_a` tables are embedded;
+//! `stage.rel.write:2:kill` dies mid relation stage.
 //!
 //! This drives the real `sdea` binary as separate processes: a `kill`-mode
 //! fault exits mid-operation and cannot be observed in-process.
@@ -54,28 +56,31 @@ fn killed_run_resumes_bit_identically_across_thread_budgets() {
         assert!(status.success(), "clean run failed (threads={threads})");
         let clean = std::fs::read(&clean_out).unwrap();
 
-        // Crash the second relation-stage checkpoint write: the attribute
-        // stage is complete, the relation stage is mid-flight.
-        let ckpt = root.join(format!("ckpt_{threads}"));
-        let killed_out = root.join(format!("killed_{threads}.sdt"));
-        let status = align_cmd(&data, &killed_out, Some(&ckpt), threads)
-            .env("SDEA_FAULT", "stage.rel.write:2:kill")
-            .status()
-            .expect("spawn faulted align");
-        assert_eq!(status.code(), Some(137), "fault must kill the process");
-        assert!(!killed_out.exists(), "killed run must not have produced a model");
-        assert!(ckpt.join("manifest.sdm").exists(), "crash left no manifest");
+        for (tag, fault) in
+            [("artifact", "artifact.write:1:kill"), ("rel", "stage.rel.write:2:kill")]
+        {
+            let ckpt = root.join(format!("ckpt_{tag}_{threads}"));
+            let killed_out = root.join(format!("killed_{tag}_{threads}.sdt"));
+            let status = align_cmd(&data, &killed_out, Some(&ckpt), threads)
+                .env("SDEA_FAULT", fault)
+                .status()
+                .expect("spawn faulted align");
+            assert_eq!(status.code(), Some(137), "{fault} must kill the process");
+            assert!(!killed_out.exists(), "killed run must not have produced a model");
+            assert!(ckpt.join("manifest.sdm").exists(), "crash left no manifest");
 
-        // Rerun against the same directory: resumes and finishes.
-        let resumed_out = root.join(format!("resumed_{threads}.sdt"));
-        let status =
-            align_cmd(&data, &resumed_out, Some(&ckpt), threads).status().expect("spawn resume");
-        assert!(status.success(), "resumed run failed (threads={threads})");
-        let resumed = std::fs::read(&resumed_out).unwrap();
-        assert_eq!(
-            resumed, clean,
-            "resumed model differs from uninterrupted run (threads={threads})"
-        );
+            // Rerun against the same directory: resumes and finishes.
+            let resumed_out = root.join(format!("resumed_{tag}_{threads}.sdt"));
+            let status = align_cmd(&data, &resumed_out, Some(&ckpt), threads)
+                .status()
+                .expect("spawn resume");
+            assert!(status.success(), "resumed run failed ({fault}, threads={threads})");
+            let resumed = std::fs::read(&resumed_out).unwrap();
+            assert_eq!(
+                resumed, clean,
+                "resumed model differs from uninterrupted run ({fault}, threads={threads})"
+            );
+        }
         models.push(clean);
     }
     assert_eq!(models[0], models[1], "results differ across thread budgets");
