@@ -1,10 +1,14 @@
-//! Fixed-shape token batches and the attention padding mask.
+//! Token batches padded to a common length, and the attention padding
+//! mask.
 
 use sdea_tensor::Tensor;
 use sdea_text::Encoded;
 
 /// A `[b, s]` batch of token ids with padding masks, ready for
-/// [`crate::TransformerLm::forward`].
+/// [`crate::TransformerLm::forward`]. The caller picks `s` (at most
+/// `max_seq`): padded keys are masked out of attention, so an eval forward
+/// gives a row's real positions the same bits at any `s` that holds the
+/// row, and eval callers pad only to the batch's longest row.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TokenBatch {
     /// Flattened ids, row-major `[b * s]`.

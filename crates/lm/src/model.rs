@@ -263,23 +263,33 @@ mod tests {
 
     #[test]
     fn padding_does_not_affect_real_positions() {
-        // Same first row, second row differs only in padded region content.
+        // An eval forward's real positions are bitwise the same at every
+        // padded length from the real length to `max_seq`, whatever ids the
+        // padding holds: a padded key gets a softmax weight of exactly 0,
+        // and every kernel sums in ascending k, so trailing zero terms
+        // change nothing. This is what lets eval batches pad only to their
+        // longest row.
         let mut rng = Rng::seed_from_u64(3);
         let mut store = ParamStore::new();
-        let lm = TransformerLm::new(LmConfig::tiny(32), &mut store, &mut rng);
-        let mk = |pad_id: u32| {
-            let ids = vec![2, 7, 8, pad_id];
-            let mask = vec![1, 1, 1, 0];
-            TokenBatch::from_encoded(&[Encoded { ids, mask }])
+        let cfg = LmConfig::tiny(32);
+        let lm = TransformerLm::new(cfg.clone(), &mut store, &mut rng);
+        let real = [2u32, 7, 8, 11, 5];
+        let hidden_bits = |s: usize, pad_id: u32| {
+            let mut ids = real.to_vec();
+            ids.resize(s, pad_id);
+            let mut mask = vec![1u8; real.len()];
+            mask.resize(s, 0);
+            let batch = TokenBatch::from_encoded(&[Encoded { ids, mask }]);
+            let g = Graph::new();
+            let h = lm.forward(&g, &store, &batch, false, &mut Rng::seed_from_u64(0));
+            let out = g.value(h).data()[..real.len() * cfg.hidden].to_vec();
+            out.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
         };
-        let ga = Graph::new();
-        let ha = lm.forward(&ga, &store, &mk(0), false, &mut rng);
-        let gb = Graph::new();
-        let hb = lm.forward(&gb, &store, &mk(9), false, &mut rng);
-        let a = ga.value_cloned(lm.cls_states(&ga, ha, &mk(0)));
-        let b = gb.value_cloned(lm.cls_states(&gb, hb, &mk(9)));
-        for (x, y) in a.data().iter().zip(b.data()) {
-            assert!((x - y).abs() < 1e-5, "CLS changed with padded content: {x} vs {y}");
+        let want = hidden_bits(real.len(), 0);
+        for s in real.len()..=cfg.max_seq {
+            for pad_id in [0, 9] {
+                assert_eq!(hidden_bits(s, pad_id), want, "padded to {s} with id {pad_id}");
+            }
         }
     }
 

@@ -10,11 +10,14 @@
 //! batch max-k and truncating is not bitwise faithful for the quantized
 //! backend, whose rescore pool is sized from `k`).
 //!
-//! Batching is invisible in the results: the encoder pads every row to
-//! the same fixed `max_seq` and pools per-row, so a query's embedding —
-//! and therefore its candidate scores — is bitwise identical whether it
-//! was embedded alone, in a batch of 32, or interleaved with any other
-//! traffic (pinned by `tests/determinism.rs`).
+//! Batching is invisible in the results: the encoder pads a batch only
+//! to its longest row, but a row's real positions get the same bits at
+//! any padded length (padded keys take exactly zero attention weight and
+//! every kernel sums in ascending order), and it pools per row. So a
+//! query's embedding — and therefore its candidate scores — is bitwise
+//! identical whether it was embedded alone, in a batch of 32 longer or
+//! shorter rows, or interleaved with any other traffic (pinned by
+//! `tests/determinism.rs`).
 //!
 //! Requests tokenize on their own connection thread (the cheap part) and
 //! queue token rows, so the worker spends its time only on the forwards.

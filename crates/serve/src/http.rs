@@ -38,8 +38,20 @@ pub enum ParseError {
     Bad(String),
     /// Head or body exceeded a size limit.
     TooLarge(String),
+    /// A read waited past the stream's read timeout: the client went
+    /// silent before sending the whole request.
+    Timeout,
     /// Socket error or premature close mid-request.
     Io(io::Error),
+}
+
+impl From<io::Error> for ParseError {
+    fn from(e: io::Error) -> Self {
+        match e.kind() {
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => ParseError::Timeout,
+            _ => ParseError::Io(e),
+        }
+    }
 }
 
 impl ParseError {
@@ -48,6 +60,7 @@ impl ParseError {
         match self {
             ParseError::Bad(_) => 400,
             ParseError::TooLarge(_) => 413,
+            ParseError::Timeout => 408,
             ParseError::Io(_) => 400,
         }
     }
@@ -56,12 +69,14 @@ impl ParseError {
     pub fn message(&self) -> String {
         match self {
             ParseError::Bad(m) | ParseError::TooLarge(m) => m.clone(),
+            ParseError::Timeout => "request not received within the read timeout".into(),
             ParseError::Io(e) => format!("i/o error: {e}"),
         }
     }
 }
 
-/// Reads one request from `stream`.
+/// Reads one request from `stream`. A read that outlasts the stream's
+/// read timeout fails with [`ParseError::Timeout`].
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, ParseError> {
     let mut head = Vec::new();
     let mut byte = [0u8; 1];
@@ -74,7 +89,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, ParseError> {
         match stream.read(&mut byte) {
             Ok(0) => return Err(ParseError::Bad("connection closed mid-headers".into())),
             Ok(_) => head.push(byte[0]),
-            Err(e) => return Err(ParseError::Io(e)),
+            Err(e) => return Err(e.into()),
         }
     }
     let head = String::from_utf8_lossy(&head);
@@ -116,7 +131,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, ParseError> {
         return Err(ParseError::TooLarge(format!("body exceeds {MAX_BODY_BYTES} bytes")));
     }
     let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body).map_err(ParseError::Io)?;
+    stream.read_exact(&mut body)?;
     Ok(Request { method: method.to_string(), path: path.to_string(), body })
 }
 
@@ -126,6 +141,7 @@ fn status_text(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         413 => "Payload Too Large",
         503 => "Service Unavailable",
         _ => "Internal Server Error",

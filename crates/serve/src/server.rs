@@ -5,6 +5,12 @@
 //! serialized through the [`Batcher`] worker, and the alternative — a
 //! hand-rolled poll loop — buys nothing at loopback-service scale.
 //!
+//! Every accepted stream reads and writes under
+//! [`BatchConfig::request_timeout`] (`SDEA_REQUEST_TIMEOUT_MS`): a client
+//! that connects and goes silent, or sends less body than its
+//! `Content-Length`, gets a 408 once a read waits that long, so it can
+//! neither pin its connection thread nor stall shutdown.
+//!
 //! Shutdown (`POST /admin/shutdown` or [`ShutdownHandle::shutdown`]) is
 //! graceful: the accept loop stops taking connections, every in-flight
 //! request runs to completion, the batch worker drains its queue, and
@@ -18,6 +24,7 @@ use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 /// Hard cap on candidates per query, whatever the client asks for.
 pub const MAX_K: usize = 100;
@@ -51,6 +58,8 @@ pub struct Server {
     running: Arc<AtomicBool>,
     /// (active connection count, its condvar) — the drain barrier.
     inflight: Arc<(Mutex<usize>, Condvar)>,
+    /// Read and write timeout of every accepted stream.
+    io_timeout: Duration,
 }
 
 impl Server {
@@ -66,6 +75,7 @@ impl Server {
             batcher,
             running: Arc::new(AtomicBool::new(true)),
             inflight: Arc::new((Mutex::new(0), Condvar::new())),
+            io_timeout: cfg.request_timeout,
         })
     }
 
@@ -88,6 +98,10 @@ impl Server {
             }
             let Ok(stream) = stream else { continue };
             sdea_obs::add("serve.connections", 1);
+            // A zero timeout is rejected by the OS and leaves the stream
+            // blocking, as before deadlines existed.
+            let _ = stream.set_read_timeout(Some(self.io_timeout));
+            let _ = stream.set_write_timeout(Some(self.io_timeout));
             {
                 let (count, _) = &*self.inflight;
                 *count.lock().unwrap_or_else(|e| e.into_inner()) += 1;

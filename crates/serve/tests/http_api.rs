@@ -25,13 +25,15 @@ fn serve_state() -> (ServeState, Vec<String>) {
     (state, corpus)
 }
 
-fn start() -> (String, sdea_serve::ShutdownHandle, std::thread::JoinHandle<std::io::Result<()>>) {
+type Running = (String, sdea_serve::ShutdownHandle, std::thread::JoinHandle<std::io::Result<()>>);
+
+fn start() -> Running {
+    start_with_timeout(Duration::from_secs(10))
+}
+
+fn start_with_timeout(request_timeout: Duration) -> Running {
     let (state, _) = serve_state();
-    let cfg = BatchConfig {
-        window: Duration::from_micros(200),
-        max_batch: 8,
-        request_timeout: Duration::from_secs(10),
-    };
+    let cfg = BatchConfig { window: Duration::from_micros(200), max_batch: 8, request_timeout };
     let server = Server::bind("127.0.0.1:0", state, &cfg).expect("bind ephemeral");
     let addr = server.local_addr().expect("bound").to_string();
     let shutdown = server.shutdown_handle().expect("bound");
@@ -102,5 +104,54 @@ fn oversized_bodies_are_rejected() {
     let (status, _) = http::request(&addr, "POST", "/v1/align", &huge).expect("send");
     assert_eq!(status, 413);
     shutdown.shutdown();
+    thread.join().expect("server thread").expect("clean run");
+}
+
+/// A client that connects and sends nothing, or sends less body than its
+/// `Content-Length`, gets a 408 once a read has waited the request timeout
+/// (counted as a bad request), and an idle connection does not hold up
+/// the drain after shutdown.
+#[test]
+fn stalled_clients_time_out_and_do_not_block_shutdown() {
+    use std::io::{Read, Write};
+    let timeout = Duration::from_millis(300);
+    let (addr, shutdown, thread) = start_with_timeout(timeout);
+    // Client-side deadlines turn a server that never answers into a
+    // failure instead of a hung test.
+    let response = |stream: &mut std::net::TcpStream| {
+        stream.set_read_timeout(Some(timeout * 10)).expect("client read timeout");
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).expect("server answers, then closes");
+        raw
+    };
+    let bad_requests = || {
+        let (_, body) = http::request(&addr, "GET", "/metrics", "").expect("metrics");
+        let metrics = Json::parse(&body).expect("metrics JSON");
+        let counters = metrics.get("counters").cloned().expect("counters");
+        counters.get("serve.bad_requests").and_then(|v| v.as_f64()).unwrap_or(0.0)
+    };
+    let before = bad_requests();
+
+    let mut idle = std::net::TcpStream::connect(&addr).expect("connect");
+    assert!(response(&mut idle).starts_with("HTTP/1.1 408 "));
+    let mut short = std::net::TcpStream::connect(&addr).expect("connect");
+    short
+        .write_all(b"POST /v1/align HTTP/1.1\r\nContent-Length: 40\r\n\r\n{\"text\"")
+        .expect("send a partial body");
+    assert!(response(&mut short).starts_with("HTTP/1.1 408 "));
+    assert!(bad_requests() >= before + 2.0, "timed-out reads count as bad requests");
+
+    // An idle connection is accepted before shutdown (the health check
+    // behind it is answered, so the accept loop has passed it); `run()`
+    // must still return within about one timeout.
+    let _held_open = std::net::TcpStream::connect(&addr).expect("connect");
+    let (status, _) = http::request(&addr, "GET", "/healthz", "").expect("healthz");
+    assert_eq!(status, 200);
+    let stopped = std::time::Instant::now();
+    shutdown.shutdown();
+    while !thread.is_finished() && stopped.elapsed() < timeout * 10 {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(thread.is_finished(), "run() still draining {:?} after shutdown", stopped.elapsed());
     thread.join().expect("server thread").expect("clean run");
 }

@@ -46,7 +46,8 @@ pub use graph::{Graph, Var};
 pub use optim::{Adam, GradClip, Optimizer, ParamId, ParamStore, Sgd};
 pub use ord::desc_nan_last;
 pub use par::{
-    max_threads, par_map_collect, par_row_chunks, set_thread_budget, with_thread_budget,
+    fanouts_on_this_thread, max_threads, par_map_collect, par_row_chunks, set_thread_budget,
+    with_thread_budget,
 };
 pub use pool::BufferPool;
 pub use rng::Rng;

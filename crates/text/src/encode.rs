@@ -8,7 +8,9 @@ use crate::vocab::Vocab;
 /// A fixed-length encoded sequence.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Encoded {
-    /// Token ids, length exactly `max_len` (`[CLS] tok... [PAD]...`).
+    /// Token ids, length exactly the `max_len` the row was encoded at
+    /// (`[CLS] tok... [PAD]...`): a training batch's `max_seq`, or an eval
+    /// batch's longest row.
     pub ids: Vec<u32>,
     /// 1 for real tokens (incl. `[CLS]`), 0 for padding; same length.
     pub mask: Vec<u8>,

@@ -62,14 +62,17 @@ cargo test -q --workspace --release
 
 # Budget equivalence with observability on: the instrumentation layer must
 # not perturb a single bit of any computed tensor at any thread count.
-# The retrieval suite additionally pins the nprobe=all exact bypass to the
-# exact backend, the oracle test pins blocked evaluation to the matrix
-# path, and the serve suite pins batch-invisibility of the
+# Every par_equivalence case fails unless its parallel run fanned out.
+# The sdea-lm suite pins an eval forward's real positions bitwise at every
+# padded length, the retrieval suite pins the nprobe=all exact bypass to
+# the exact backend, the oracle test pins blocked evaluation to the
+# matrix path, and the serve suite pins batch-invisibility of the
 # exact and quantized-IVF serving stacks, all bitwise.
 for threads in 1 8; do
   echo "=== budget equivalence: SDEA_THREADS=$threads SDEA_OBS=1 ==="
   SDEA_OBS=1 SDEA_THREADS="$threads" cargo test -q --release \
     -p sdea-tensor -p sdea-eval -p sdea-core --test par_equivalence
+  SDEA_OBS=1 SDEA_THREADS="$threads" cargo test -q --release -p sdea-lm
   SDEA_OBS=1 SDEA_THREADS="$threads" cargo test -q --release \
     -p sdea-index --test equivalence
   SDEA_OBS=1 SDEA_THREADS="$threads" cargo test -q --release -p sdea-serve --test determinism
