@@ -6,7 +6,7 @@
 use sdea_index::{
     build_retriever, ExactRetriever, IndexConfig, IndexKind, IvfRetriever, Retriever,
 };
-use sdea_tensor::{with_thread_budget, Rng, Tensor};
+use sdea_tensor::{fanouts_on_this_thread, with_thread_budget, Rng, Tensor};
 
 fn world(n: usize, d: usize, seed: u64) -> (Tensor, Tensor) {
     // Clustered targets + perturbed queries, the aligned-entity shape the
@@ -72,11 +72,16 @@ fn nprobe_at_least_nlist_also_bypasses() {
 fn results_are_thread_budget_invariant_when_probing() {
     // Approximate mode (nprobe < nlist) must still be deterministic across
     // budgets — approximation changes *what* is searched, never *when*.
-    let (tgt, qry) = world(200, 16, 13);
+    // The world is large enough for the cluster scan and the per-query
+    // finish to fan out; a search that stayed serial would compare serial
+    // with serial.
+    let (tgt, qry) = world(1500, 32, 13);
     let cfg = IndexConfig { kind: IndexKind::Ivf, nlist: 14, nprobe: 3, quantize: true };
     let ivf = IvfRetriever::build(&tgt, &cfg);
     let h1 = with_thread_budget(1, || ivf.search(&qry, 10));
+    let before = fanouts_on_this_thread();
     let h8 = with_thread_budget(8, || ivf.search(&qry, 10));
+    assert!(fanouts_on_this_thread() > before, "the probing search never fanned out");
     assert_bitwise_equal(&h1, &h8, "budget 1 vs 8, nprobe=3");
 }
 
