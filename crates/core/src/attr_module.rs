@@ -450,13 +450,7 @@ impl AttrModule {
                     None => self.embed_all(cache2, rng),
                 };
                 let src_emb = self.embed_rows(cache1, &src_rows, rng);
-                CandidateSet::generate_with(
-                    &sources,
-                    &src_emb,
-                    &emb2_all,
-                    cfg.n_candidates,
-                    &cfg.index,
-                )
+                CandidateSet::generate(&sources, &src_emb, &emb2_all, cfg.n_candidates)
             };
 
             // Lines 5–10: margin-loss updates over shuffled train pairs.

@@ -7,43 +7,30 @@
 //! high `H_a` cosine become additional (noisy) seeds for the relation
 //! stage. Exposed through [`crate::SdeaPipeline::run_bootstrapped`].
 
-use sdea_index::{build_retriever, IndexConfig};
+use sdea_index::{ExactRetriever, Retriever};
 use sdea_kg::EntityId;
 use sdea_tensor::Tensor;
 
 /// Mutual-nearest pairs above a cosine threshold between two embedding
-/// tables (rows = entity ids), with the default (exact) retrieval backend.
+/// tables (rows = entity ids).
+///
+/// Each side's nearest neighbour comes from an exact top-1 search against
+/// the other side's table. Cosine is symmetric and both matmul
+/// orientations accumulate in ascending feature order, so the two
+/// directions see bitwise-equal scores; the mutual filter is therefore
+/// order-independent.
 pub fn mutual_nearest_pairs(
     emb1: &Tensor,
     emb2: &Tensor,
     threshold: f32,
-) -> Vec<(EntityId, EntityId)> {
-    mutual_nearest_pairs_with(emb1, emb2, threshold, &IndexConfig::default())
-}
-
-/// [`mutual_nearest_pairs`] through the retrieval backend selected by
-/// `index` (`SdeaConfig::index`).
-///
-/// Each side's nearest neighbour comes from a top-1 search against the
-/// other side's index. Cosine is symmetric and both matmul orientations
-/// accumulate in ascending feature order, so the two directions see
-/// bitwise-equal scores; the mutual filter is therefore order-independent.
-/// With an approximate (IVF, `nprobe < nlist`) backend a pair is kept only
-/// when the two shortlists agree, which can drop — never fabricate —
-/// mutual pairs.
-pub fn mutual_nearest_pairs_with(
-    emb1: &Tensor,
-    emb2: &Tensor,
-    threshold: f32,
-    index: &IndexConfig,
 ) -> Vec<(EntityId, EntityId)> {
     let (n, m) = (emb1.shape()[0], emb2.shape()[0]);
     if n == 0 || m == 0 {
         return Vec::new();
     }
     let _span = sdea_obs::span("bootstrap.mutual_nearest");
-    let fwd = build_retriever(emb2, index).search(emb1, 1);
-    let bwd = build_retriever(emb1, index).search(emb2, 1);
+    let fwd = ExactRetriever::new(emb2).search(emb1, 1);
+    let bwd = ExactRetriever::new(emb1).search(emb2, 1);
     (0..n)
         .filter_map(|i| {
             let &(j, score) = fwd[i].first()?;

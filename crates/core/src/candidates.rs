@@ -3,7 +3,7 @@
 //! embeddings. Negatives sampled from this set are *hard* negatives, which
 //! is what makes the margin loss effective.
 
-use sdea_index::{build_retriever, IndexConfig, Retriever};
+use sdea_index::{ExactRetriever, Retriever};
 use sdea_kg::EntityId;
 use sdea_tensor::{Rng, Tensor};
 
@@ -18,42 +18,16 @@ pub struct CandidateSet {
 }
 
 impl CandidateSet {
-    /// Builds candidate lists from embeddings with the default (exact)
-    /// retrieval backend — the top-`k` columns of each row of
-    /// `cosine_matrix(src_emb, tgt_emb)`, bit for bit.
+    /// Builds candidate lists from embeddings: the top-`k` columns of each
+    /// row of `cosine_matrix(src_emb, tgt_emb)`, bit for bit, through one
+    /// exact search over the target table.
     ///
     /// `src_emb`: `[n_src, d]` embeddings of `sources`;
     /// `tgt_emb`: `[n_tgt, d]` embeddings of ALL target entities (row = id).
     pub fn generate(sources: &[EntityId], src_emb: &Tensor, tgt_emb: &Tensor, k: usize) -> Self {
-        Self::generate_with(sources, src_emb, tgt_emb, k, &IndexConfig::default())
-    }
-
-    /// [`CandidateSet::generate`] through the retrieval backend selected by
-    /// `index` (`SdeaConfig::index`): exact, or IVF with an optional int8
-    /// quantized member scan.
-    pub fn generate_with(
-        sources: &[EntityId],
-        src_emb: &Tensor,
-        tgt_emb: &Tensor,
-        k: usize,
-        index: &IndexConfig,
-    ) -> Self {
-        let retr = build_retriever(tgt_emb, index);
-        Self::from_retriever(sources, src_emb, retr.as_ref(), k)
-    }
-
-    /// Builds candidate lists from an already-built [`Retriever`] over the
-    /// target table (row = entity id), for callers that amortize one index
-    /// across many candidate generations.
-    pub fn from_retriever(
-        sources: &[EntityId],
-        src_emb: &Tensor,
-        retr: &dyn Retriever,
-        k: usize,
-    ) -> Self {
         assert_eq!(src_emb.shape()[0], sources.len());
         let _span = sdea_obs::span("candidates.generate");
-        let lists = retr
+        let lists = ExactRetriever::new(tgt_emb)
             .search(src_emb, k)
             .into_iter()
             .map(|row| row.into_iter().map(|(j, _)| EntityId(j as u32)).collect())

@@ -317,10 +317,14 @@ pub fn config_fingerprint(
     split_sizes: (usize, usize),
     bootstrap_threshold: Option<f32>,
 ) -> u64 {
+    // The canonical string is a persisted format: an existing checkpoint
+    // directory resumes only while it hashes the same. Its `ix…` tail is a
+    // removed retrieval option at its exact-search values, the only ones
+    // left, so it stays as a literal.
     let canon = format!(
         "v={:?};n1={};n2={};tr={};va={};boot={:?};vb={};lh={};ll={};lhd={};lf={};ms={};ed={};me={};\
          mc={};mb={};mlr={:08x};mg={:08x};ae={};ab={};alr={:08x};re={};rb={};rlr={:08x};nc={};pa={};\
-         mn={};dr={:08x};po={:?};nz={};seed={};ix={:?};ixl={};ixp={};ixq={}",
+         mn={};dr={:08x};po={:?};nz={};seed={};ix=Exact;ixl=0;ixp=0;ixq=false",
         variant,
         dims.0,
         dims.1,
@@ -352,13 +356,6 @@ pub fn config_fingerprint(
         cfg.pooling,
         cfg.normalize_embeddings,
         cfg.seed,
-        // The retrieval backend shapes which negatives and bootstrap pairs
-        // training sees (IVF with nprobe < nlist is approximate), so it is
-        // a result-shaping hyper-parameter, not an execution knob.
-        cfg.index.kind,
-        cfg.index.nlist,
-        cfg.index.nprobe,
-        cfg.index.quantize,
     );
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in canon.bytes() {
@@ -777,15 +774,6 @@ mod tests {
         assert_ne!(base, config_fingerprint(&cfg, RelVariant::NoGru, (10, 10), (4, 2), None));
         assert_ne!(base, config_fingerprint(&cfg, RelVariant::Full, (11, 10), (4, 2), None));
         assert_ne!(base, config_fingerprint(&cfg, RelVariant::Full, (10, 10), (4, 2), Some(0.9)));
-        // The retrieval backend shapes results: any index field separates.
-        let mut ivf = cfg.clone();
-        ivf.index =
-            sdea_index::IndexConfig { kind: sdea_index::IndexKind::Ivf, ..ivf.index.clone() };
-        let ivf_base = config_fingerprint(&ivf, RelVariant::Full, (10, 10), (4, 2), None);
-        assert_ne!(base, ivf_base);
-        let mut probed = ivf.clone();
-        probed.index.nprobe = 4;
-        assert_ne!(ivf_base, config_fingerprint(&probed, RelVariant::Full, (10, 10), (4, 2), None));
         let mut knobs = cfg.clone();
         knobs.threads = 8;
         knobs.obs = false;

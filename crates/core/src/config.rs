@@ -1,6 +1,5 @@
 //! SDEA hyper-parameters.
 
-use sdea_index::IndexConfig;
 use sdea_lm::LmConfig;
 
 /// Query rows per block when validation ranks through
@@ -92,13 +91,6 @@ pub struct SdeaConfig {
     /// `checkpoint_dir`. Like `threads`/`obs`, this never changes results.
     // fingerprint: excluded(checkpoint cadence; never changes results)
     pub checkpoint_every: usize,
-    /// Retrieval backend for every ranking path (candidate generation,
-    /// bootstrap mutual-nearest pairs). The default exact backend is
-    /// bit-identical to the historical full-matrix scans; an IVF backend
-    /// with `nprobe < nlist` changes which negatives and bootstrap pairs
-    /// training sees, so — unlike `threads`/`obs` — this participates in
-    /// the checkpoint config fingerprint.
-    pub index: IndexConfig,
 }
 
 /// Sequence pooling strategy of the attribute module.
@@ -156,7 +148,6 @@ impl Default for SdeaConfig {
             obs: true,
             checkpoint_dir: None,
             checkpoint_every: 1,
-            index: IndexConfig::default(),
         }
     }
 }
@@ -194,7 +185,6 @@ impl SdeaConfig {
             obs: true,
             checkpoint_dir: None,
             checkpoint_every: 1,
-            index: IndexConfig::default(),
         }
     }
 

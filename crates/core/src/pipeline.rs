@@ -201,12 +201,7 @@ impl<'a> SdeaPipeline<'a> {
                         self.split.train.iter().map(|&(a, _)| a).collect();
                     let known2: std::collections::HashSet<EntityId> =
                         self.split.train.iter().map(|&(_, b)| b).collect();
-                    for (a, b) in crate::bootstrap::mutual_nearest_pairs_with(
-                        &h_a1,
-                        &h_a2,
-                        threshold,
-                        &self.cfg.index,
-                    ) {
+                    for (a, b) in crate::bootstrap::mutual_nearest_pairs(&h_a1, &h_a2, threshold) {
                         if !known1.contains(&a) && !known2.contains(&b) {
                             train.push((a, b));
                         }

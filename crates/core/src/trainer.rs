@@ -158,13 +158,7 @@ impl RelStage {
         let src_rows: Vec<usize> = sources.iter().map(|e| e.0 as usize).collect();
         let cands = {
             let _span = sdea_obs::span("candidates");
-            CandidateSet::generate_with(
-                &sources,
-                &h_a1.gather_rows(&src_rows),
-                h_a2,
-                cfg.n_candidates,
-                &cfg.index,
-            )
+            CandidateSet::generate(&sources, &h_a1.gather_rows(&src_rows), h_a2, cfg.n_candidates)
         };
         let n_targets = h_a2.shape()[0];
 

@@ -186,7 +186,7 @@ fn row_block(t: &Tensor, r0: usize, r1: usize) -> Tensor {
 mod tests {
     use super::*;
     use crate::similarity::cosine_matrix;
-    use sdea_index::{ExactRetriever, IndexConfig, IndexKind, IvfRetriever, Retriever};
+    use sdea_index::{ExactRetriever, Retriever};
     use sdea_tensor::{with_thread_budget, Rng};
 
     #[test]
@@ -320,7 +320,7 @@ mod tests {
 
     /// Regression (serving hardening): zero-norm embedding rows — e.g. an
     /// empty attribute text after normalization — must behave identically
-    /// in the matrix path and every retriever backend, and can never push
+    /// in the matrix path and the exact retriever, and can never push
     /// NaN into MRR. The convention ([`Tensor::normalized_view`]) is that
     /// a zero row's cosine against anything is exactly `0.0`.
     #[test]
@@ -341,23 +341,11 @@ mod tests {
         }
         let via_matrix = evaluate_ranking(&sim, &gold);
         assert!(via_matrix.mrr.is_finite() && via_matrix.mrr > 0.0, "MRR must stay finite");
-        // Both backends (IVF int8 at nprobe = all): every hit's score
-        // bitwise equals its matrix cell.
-        let exact = ExactRetriever::new(&tgt);
-        let ivf = IvfRetriever::build(
-            &tgt,
-            &IndexConfig { kind: IndexKind::Ivf, nlist: 2, nprobe: 0, quantize: true },
-        );
-        for (name, retr) in [("exact", &exact as &dyn Retriever), ("ivf-int8", &ivf)] {
-            for (i, hits) in retr.search(&src, 5).iter().enumerate() {
-                assert_eq!(hits.len(), 5, "{name}: query {i} sees every target");
-                for &(j, s) in hits {
-                    assert_eq!(
-                        s.to_bits(),
-                        sim.row(i)[j].to_bits(),
-                        "{name}: query {i} target {j}"
-                    );
-                }
+        // Exact retrieval: every hit's score bitwise equals its matrix cell.
+        for (i, hits) in ExactRetriever::new(&tgt).search(&src, 5).iter().enumerate() {
+            assert_eq!(hits.len(), 5, "query {i} sees every target");
+            for &(j, s) in hits {
+                assert_eq!(s.to_bits(), sim.row(i)[j].to_bits(), "query {i} target {j}");
             }
         }
     }

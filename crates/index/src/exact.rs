@@ -3,11 +3,11 @@
 //! The target table is normalized once at construction through the shared
 //! [`Tensor::normalized_view`] helper, queries are normalized once per
 //! batch, and the product rides the tiled `matmul_t` kernel — the same
-//! cells `sdea_eval::cosine_matrix` computes. [`exact_search`] is the one
-//! exact scan in this crate: IVF's `nprobe = all` bypass calls it too.
+//! cells `sdea_eval::cosine_matrix` computes.
 
-use crate::{counters, top_k_scored, Hit, Retriever};
+use crate::{top_k_scored, Hit, Retriever};
 use sdea_tensor::{par_map_collect, Tensor};
+use std::sync::OnceLock;
 
 /// Exact cosine retriever over an embedding table.
 pub struct ExactRetriever {
@@ -21,18 +21,26 @@ impl ExactRetriever {
         assert_eq!(emb.rank(), 2, "ExactRetriever expects a rank-2 table");
         ExactRetriever { norm: emb.normalized_view() }
     }
+}
 
-    /// The normalized table (for callers that also need the raw scores).
-    pub fn normalized(&self) -> &Tensor {
-        &self.norm
-    }
+/// Query × target cells scored, pre-registered so a search pays one
+/// atomic add and no registry lock.
+fn cells_scored() -> &'static sdea_obs::Counter {
+    static C: OnceLock<sdea_obs::Counter> = OnceLock::new();
+    C.get_or_init(|| sdea_obs::counter("index.exact_rescored"))
 }
 
 impl Retriever for ExactRetriever {
+    /// One normalization of the query batch, one `matmul_t`, then a
+    /// per-row top-k selection fanned out across the thread budget.
     fn search(&self, queries: &Tensor, k: usize) -> Vec<Vec<Hit>> {
         assert_eq!(queries.rank(), 2, "search expects rank-2 queries");
         assert_eq!(queries.shape()[1], self.dim(), "embedding width mismatch");
-        exact_search(&self.norm, queries, k)
+        let _span = sdea_obs::span("index.search_exact");
+        let (nq, m) = (queries.shape()[0], self.len());
+        cells_scored().add((nq * m) as u64);
+        let sim = queries.normalized_view().matmul_t(&self.norm);
+        par_map_collect(nq, m.max(1), |i| top_k_scored(sim.row(i), k))
     }
 
     fn len(&self) -> usize {
@@ -42,17 +50,6 @@ impl Retriever for ExactRetriever {
     fn dim(&self) -> usize {
         self.norm.shape()[1]
     }
-}
-
-/// Exact top-`k` hits of every row of `queries` against the row-normalized
-/// table `norm`: one normalization of the query batch, one `matmul_t`, then
-/// a per-row top-k selection fanned out across the thread budget.
-pub(crate) fn exact_search(norm: &Tensor, queries: &Tensor, k: usize) -> Vec<Vec<Hit>> {
-    let _span = sdea_obs::span("index.search_exact");
-    let (nq, m) = (queries.shape()[0], norm.shape()[0]);
-    counters().exact_rescored.add((nq * m) as u64);
-    let sim = queries.normalized_view().matmul_t(norm);
-    par_map_collect(nq, m.max(1), |i| top_k_scored(sim.row(i), k))
 }
 
 #[cfg(test)]

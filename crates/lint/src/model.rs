@@ -84,7 +84,7 @@ pub struct BlobSite {
 pub struct ConfigField {
     pub file: String,
     pub line: usize,
-    /// `SdeaConfig`, `IndexConfig`.
+    /// `SdeaConfig`.
     pub strukt: &'static str,
     pub name: String,
     /// Carries a `// fingerprint: excluded(<reason>)` justification.
@@ -92,8 +92,7 @@ pub struct ConfigField {
 }
 
 /// The fingerprint-enrolled config structs and where they live.
-pub const FPRINT_STRUCTS: &[(&str, &str)] =
-    &[("crates/core/src/config.rs", "SdeaConfig"), ("crates/index/src/lib.rs", "IndexConfig")];
+pub const FPRINT_STRUCTS: &[(&str, &str)] = &[("crates/core/src/config.rs", "SdeaConfig")];
 
 /// The fingerprint function whose body must mention every enrolled field.
 pub const FPRINT_FN: (&str, &str) = ("crates/core/src/checkpoint.rs", "config_fingerprint");
@@ -469,7 +468,7 @@ mod tests {
                        add(\"eval.cells\", 1);\n\
                        sdea_obs::record(\"eval.loss\", 0.5);\n\
                        store.add(\"lm.tok_emb\", t);\n\
-                       local_counter(\"index.probes\");\n\
+                       local_counter(\"eval.local\");\n\
                    }\n\
                    fn local_counter(name: &str) -> u64 { 0 }\n";
         let m = model_for("crates/eval/src/x.rs", src);
@@ -487,8 +486,8 @@ mod tests {
     #[test]
     fn bare_counter_without_import_is_skipped() {
         let src = "fn counter(name: &str) -> u64 { 0 }\n\
-                   pub fn f() { let _ = counter(\"index.probes\"); }\n";
-        let m = model_for("crates/bench/src/bin/bench_index.rs", src);
+                   pub fn f() { let _ = counter(\"eval.local\"); }\n";
+        let m = model_for("crates/bench/src/bin/bench_kernels.rs", src);
         assert!(m.obs_sites.is_empty(), "{:?}", m.obs_sites);
     }
 
@@ -521,7 +520,7 @@ mod tests {
                        /// worker budget\n\
                        // fingerprint: excluded(execution knob, never shapes results)\n\
                        pub threads: usize,\n\
-                       pub index: IndexConfig,\n\
+                       pub pooling: Pooling,\n\
                    }\n";
         let m = model_for("crates/core/src/config.rs", src);
         let f: std::collections::BTreeMap<_, _> =
@@ -529,7 +528,7 @@ mod tests {
         assert_eq!(f.len(), 3, "{:?}", m.config_fields);
         assert!(!f["dim"]);
         assert!(f["threads"]);
-        assert!(!f["index"]);
+        assert!(!f["pooling"]);
     }
 
     #[test]

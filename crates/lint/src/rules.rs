@@ -122,7 +122,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "R-FPRINT-COVERAGE",
-        scope: "SdeaConfig/IndexConfig",
+        scope: "SdeaConfig",
         description: "every public config field flows into the checkpoint fingerprint \
                       (config_fingerprint) or carries an explicit `// fingerprint: \
                       excluded(<reason>)` justification; stale exclusions on covered fields \

@@ -6,9 +6,10 @@
 //! queue into a single worker thread that coalesces whatever arrives
 //! within a short window (`SDEA_BATCH_WINDOW_US`, capped at
 //! `SDEA_MAX_BATCH` rows) into one `embed_token_rows` call plus one
-//! retriever search per distinct requested `k` (searching once at the
-//! batch max-k and truncating is not bitwise faithful for the quantized
-//! backend, whose rescore pool is sized from `k`).
+//! exact search at the batch's largest requested `k`. Each request's row
+//! is then cut to its own `k`: under the `desc_nan_last` total order with
+//! ties broken by lower index, a top-`k` list is a prefix of the top-`K`
+//! list for any `k ≤ K`.
 //!
 //! Batching is invisible in the results: the encoder pads a batch only
 //! to its longest row, but a row's real positions get the same bits at
@@ -23,8 +24,7 @@
 //! queue token rows, so the worker spends its time only on the forwards.
 
 use crate::state::ModelState;
-use sdea_index::Hit;
-use sdea_tensor::Tensor;
+use sdea_index::{Hit, Retriever};
 use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -171,34 +171,13 @@ fn batch_loop(state: &ModelState, rx: &mpsc::Receiver<Job>, window: Duration, ma
             let _span = sdea_obs::span("serve.embed");
             state.encoder.embed_token_rows(&rows)
         };
-        // Search each distinct k as its own sub-batch. Searching once at
-        // the batch max-k and truncating per job is NOT equivalent for
-        // every backend: the quantized IVF path sizes its exact-rescore
-        // pool from k (`RESCORE_MULT * k`), so a truncated max-k answer
-        // can differ from what the same request would get alone. Per-k
-        // sub-searches make a batched answer bitwise equal to a
-        // sequential one (pinned by `tests/determinism.rs`).
-        let d = emb.shape()[1];
-        let mut ks: Vec<usize> = jobs.iter().map(|j| j.k).collect();
-        ks.sort_unstable();
-        ks.dedup();
-        let mut results: Vec<Vec<Hit>> = (0..jobs.len()).map(|_| Vec::new()).collect();
-        for &k in &ks {
-            let idx: Vec<usize> = (0..jobs.len()).filter(|&i| jobs[i].k == k).collect();
-            let mut sub = Vec::with_capacity(idx.len() * d);
-            for &i in &idx {
-                sub.extend_from_slice(&emb.data()[i * d..(i + 1) * d]);
-            }
-            let sub = Tensor::from_vec(sub, &[idx.len(), d]);
-            let hits = {
-                let _span = sdea_obs::span("serve.retrieve");
-                state.retriever.search(&sub, k)
-            };
-            for (i, row) in idx.into_iter().zip(hits) {
-                results[i] = row;
-            }
-        }
-        for (job, row) in jobs.into_iter().zip(results) {
+        let k_max = jobs.iter().map(|j| j.k).max().unwrap_or(0);
+        let results = {
+            let _span = sdea_obs::span("serve.retrieve");
+            state.retriever.search(&emb, k_max)
+        };
+        for (job, mut row) in jobs.into_iter().zip(results) {
+            row.truncate(job.k);
             // A requester that already timed out dropped its receiver;
             // that's fine, the result is simply discarded.
             let _ = job.reply.send(row);

@@ -14,6 +14,8 @@
 //!
 //! Flags: `--smoke` (fewer requests, CI-friendly), `--requests N`
 //! (per-thread request count), `--levels a,b,...` (concurrency levels).
+//! A malformed or missing value for `--requests` or `--levels` exits 2
+//! naming the flag, before the fixture trains.
 
 #![forbid(unsafe_code)]
 
@@ -27,16 +29,13 @@ use std::time::Instant;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let per_thread: usize = flag_value(&args, "--requests")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 20 } else { 200 });
-    let levels: Vec<usize> = flag_value(&args, "--levels")
-        .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
-        .unwrap_or_else(|| vec![1, 4]);
-    if levels.is_empty() {
-        eprintln!("bench_serve: --levels must name at least one concurrency level");
-        exit(2);
-    }
+    let (per_thread, levels) = match load_shape(&args, smoke) {
+        Ok(shape) => shape,
+        Err(msg) => {
+            eprintln!("bench_serve: {msg}");
+            exit(2);
+        }
+    };
 
     eprintln!("bench_serve: training tiny fixture model...");
     let (state, queries) = build_fixture();
@@ -100,8 +99,36 @@ fn main() {
     println!("wrote {}", out.display());
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
+/// The value after `flag`, if the flag is present; a flag with nothing
+/// after it is an error.
+fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
+    match args.iter().position(|a| a == flag) {
+        None => Ok(None),
+        Some(i) => {
+            args.get(i + 1).map(|v| Some(v.as_str())).ok_or_else(|| format!("{flag} needs a value"))
+        }
+    }
+}
+
+/// `(requests per thread, concurrency levels)` from `--requests` and
+/// `--levels`, each parsed strictly.
+fn load_shape(args: &[String], smoke: bool) -> Result<(usize, Vec<usize>), String> {
+    use sdea_obs::env::check_parse;
+    let per_thread =
+        check_parse::<usize>("--requests", flag_value(args, "--requests")?, "a request count")?
+            .unwrap_or(if smoke { 20 } else { 200 });
+    let Some(raw) = flag_value(args, "--levels")? else {
+        return Ok((per_thread, vec![1, 4]));
+    };
+    let expected = "comma-separated positive concurrency levels";
+    let levels = raw
+        .split(',')
+        .map(|level| match check_parse::<usize>("--levels", Some(level), expected)? {
+            Some(c) if c > 0 => Ok(c),
+            _ => Err(format!("invalid --levels={raw:?}: expected {expected}")),
+        })
+        .collect::<Result<_, String>>()?;
+    Ok((per_thread, levels))
 }
 
 /// Trains the unit-test-sized model on a synthetic DBP15K-style dataset
@@ -134,8 +161,7 @@ fn build_fixture() -> (ServeState, Vec<String>) {
         eprintln!("bench_serve: fixture run produced no encoder");
         exit(1);
     };
-    let retriever: Box<dyn sdea_index::Retriever> =
-        Box::new(sdea_index::ExactRetriever::new(&model.h_a2));
+    let retriever = sdea_index::ExactRetriever::new(&model.h_a2);
     let names: Vec<String> = (0..ds.kg2().num_entities())
         .map(|i| ds.kg2().entity_name(sdea_kg::EntityId(i as u32)).to_string())
         .collect();

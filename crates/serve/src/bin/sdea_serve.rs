@@ -3,13 +3,17 @@
 //! Subcommands:
 //!
 //! * `serve <dir> <model.sdt> <encoder.sdqe> [--addr HOST:PORT]
-//!   [--index path.sdix] [--port-file F]` — load the model and serve
-//!   until `POST /admin/shutdown`. `--addr` defaults to
-//!   `127.0.0.1:7878`; port `0` picks an ephemeral port, and
-//!   `--port-file` writes the actual port (for scripted callers).
+//!   [--port-file F]` — load the model and serve until
+//!   `POST /admin/shutdown`. `--addr` defaults to `127.0.0.1:7878`;
+//!   port `0` picks an ephemeral port, and `--port-file` writes the
+//!   actual port (for scripted callers).
 //! * `query <addr> <text> [--k K]` — one alignment query, printed as
 //!   `rank. name score` lines (the JSON body goes to stdout with `--raw`).
 //! * `shutdown <addr>` — graceful remote shutdown.
+//!
+//! Arguments after a subcommand's positionals must be its own flags: an
+//! unknown argument, or a flag missing its value, exits 2 naming it
+//! before anything is loaded or sent.
 //!
 //! Batching knobs come from the environment (`SDEA_BATCH_WINDOW_US`,
 //! `SDEA_MAX_BATCH`, `SDEA_REQUEST_TIMEOUT_MS`), and the thread budget
@@ -33,7 +37,7 @@ fn main() {
             eprintln!(
                 "usage: sdea_serve <serve|query|shutdown> ...\n\
                  \n  sdea_serve serve <dir> <model.sdt> <encoder.sdqe> [--addr HOST:PORT]\
-                 \n             [--index path.sdix] [--port-file F]\
+                 \n             [--port-file F]\
                  \n  sdea_serve query <addr> <text> [--k K] [--raw]\
                  \n  sdea_serve shutdown <addr>"
             );
@@ -43,22 +47,51 @@ fn main() {
     exit(code);
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
+/// The `(flag, value)` pairs of the arguments after a subcommand's
+/// positionals. Each must be one of `valued` followed by its value, or
+/// one of `switches` (recorded with an empty value); anything else is an
+/// error naming it.
+fn parse_flags<'a>(
+    rest: &'a [String],
+    valued: &[&str],
+    switches: &[&str],
+) -> Result<Vec<(&'a str, &'a str)>, String> {
+    let mut flags = Vec::new();
+    let mut it = rest.iter();
+    while let Some(arg) = it.next() {
+        if valued.contains(&arg.as_str()) {
+            let value = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
+            flags.push((arg.as_str(), value.as_str()));
+        } else if switches.contains(&arg.as_str()) {
+            flags.push((arg.as_str(), ""));
+        } else {
+            return Err(format!("unexpected argument {arg:?}"));
+        }
+    }
+    Ok(flags)
+}
+
+/// The value of flag `name` in `flags` (its first occurrence).
+fn flag<'a>(flags: &[(&str, &'a str)], name: &str) -> Option<&'a str> {
+    flags.iter().find(|&&(f, _)| f == name).map(|&(_, v)| v)
 }
 
 fn cmd_serve(args: &[String]) -> i32 {
-    let (Some(dir), Some(model_path), Some(encoder_path)) =
-        (args.first(), args.get(1), args.get(2))
-    else {
-        eprintln!(
-            "usage: sdea_serve serve <dir> <model.sdt> <encoder.sdqe> [--addr HOST:PORT] \
-             [--index path.sdix] [--port-file F]"
-        );
+    const USAGE: &str =
+        "usage: sdea_serve serve <dir> <model.sdt> <encoder.sdqe> [--addr HOST:PORT] \
+         [--port-file F]";
+    let [dir, model_path, encoder_path, rest @ ..] = args else {
+        eprintln!("{USAGE}");
         return 2;
     };
-    let addr = flag_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:7878".to_string());
-    let index_path = flag_value(args, "--index");
+    let flags = match parse_flags(rest, &["--addr", "--port-file"], &[]) {
+        Ok(f) => f,
+        Err(msg) => {
+            eprintln!("sdea_serve serve: {msg}\n{USAGE}");
+            return 2;
+        }
+    };
+    let addr = flag(&flags, "--addr").unwrap_or("127.0.0.1:7878");
     let cfg = BatchConfig::from_env();
     // Resolve the thread budget eagerly: `SDEA_THREADS` is otherwise parsed
     // lazily on the first parallel region, which for a server would mean
@@ -68,7 +101,7 @@ fn cmd_serve(args: &[String]) -> i32 {
         Path::new(dir),
         Path::new(model_path),
         Path::new(encoder_path),
-        index_path.as_deref().map(Path::new),
+        None,
     ) {
         Ok(s) => s,
         Err(e) => {
@@ -76,7 +109,7 @@ fn cmd_serve(args: &[String]) -> i32 {
             return 1;
         }
     };
-    let server = match Server::bind(&addr, state, &cfg) {
+    let server = match Server::bind(addr, state, &cfg) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot bind {addr}: {e}");
@@ -90,9 +123,8 @@ fn cmd_serve(args: &[String]) -> i32 {
             return 1;
         }
     };
-    if let Some(port_file) = flag_value(args, "--port-file") {
-        if let Err(e) =
-            sdea_obs::fsio::atomic_write(&port_file, local.port().to_string().as_bytes())
+    if let Some(port_file) = flag(&flags, "--port-file") {
+        if let Err(e) = sdea_obs::fsio::atomic_write(port_file, local.port().to_string().as_bytes())
         {
             eprintln!("cannot write port file {port_file}: {e}");
             return 1;
@@ -112,13 +144,21 @@ fn cmd_serve(args: &[String]) -> i32 {
 }
 
 fn cmd_query(args: &[String]) -> i32 {
-    let (Some(addr), Some(text)) = (args.first(), args.get(1)) else {
-        eprintln!("usage: sdea_serve query <addr> <text> [--k K] [--raw]");
+    const USAGE: &str = "usage: sdea_serve query <addr> <text> [--k K] [--raw]";
+    let [addr, text, rest @ ..] = args else {
+        eprintln!("{USAGE}");
         return 2;
+    };
+    let flags = match parse_flags(rest, &["--k"], &["--raw"]) {
+        Ok(f) => f,
+        Err(msg) => {
+            eprintln!("sdea_serve query: {msg}\n{USAGE}");
+            return 2;
+        }
     };
     let k = match sdea_obs::env::check_parse::<usize>(
         "--k",
-        flag_value(args, "--k").as_deref(),
+        flag(&flags, "--k"),
         "a non-negative integer",
     ) {
         Ok(k) => k.unwrap_or(5),
@@ -143,7 +183,7 @@ fn cmd_query(args: &[String]) -> i32 {
         eprintln!("server returned {status}: {response}");
         return 1;
     }
-    if args.iter().any(|a| a == "--raw") {
+    if flag(&flags, "--raw").is_some() {
         println!("{response}");
         return 0;
     }
@@ -164,10 +204,15 @@ fn cmd_query(args: &[String]) -> i32 {
 }
 
 fn cmd_shutdown(args: &[String]) -> i32 {
-    let Some(addr) = args.first() else {
-        eprintln!("usage: sdea_serve shutdown <addr>");
+    const USAGE: &str = "usage: sdea_serve shutdown <addr>";
+    let [addr, rest @ ..] = args else {
+        eprintln!("{USAGE}");
         return 2;
     };
+    if let Err(msg) = parse_flags(rest, &[], &[]) {
+        eprintln!("sdea_serve shutdown: {msg}\n{USAGE}");
+        return 2;
+    }
     match http::request(addr, "POST", "/admin/shutdown", "") {
         Ok((200, _)) => 0,
         Ok((status, body)) => {

@@ -3,8 +3,8 @@
 //! Alignment-as-a-service: an online inference server over a trained SDEA
 //! model. Training (`sdea align`) exports two artifacts — the embedding
 //! tables (`--out`) and the query encoder (`--encoder-out`); this crate
-//! loads both, indexes the KG2 attribute table behind the
-//! [`sdea_index::Retriever`] trait, and answers alignment queries over
+//! loads both, scans the KG2 attribute table with
+//! [`sdea_index::ExactRetriever`], and answers alignment queries over
 //! HTTP/1.1:
 //!
 //! * `POST /v1/align` — `{"text": "...", "k": 5}` in, top-k candidate

@@ -1,24 +1,23 @@
 //! The immutable model state a server answers queries from.
 //!
 //! Everything is loaded once at startup — query encoder, target embedding
-//! table, retrieval index, entity names — and shared read-only across
+//! table, entity names — and shared read-only across
 //! connection threads. Every load failure is a typed `io::Error` surfaced
 //! before the listener binds: a serving process either starts with a
 //! complete, validated model or not at all.
 
 use sdea_core::attr_module::AttrModule;
-use sdea_index::{IndexConfig, IndexKind, IvfRetriever, Retriever};
-use sdea_tensor::Tensor;
+use sdea_index::ExactRetriever;
 use std::io;
 use std::path::Path;
 
-/// What the batch worker needs: the encoder and the index over KG2's
-/// attribute-embedding table.
+/// What the batch worker needs: the encoder and the exact retriever over
+/// KG2's attribute-embedding table.
 pub struct ModelState {
     /// The persisted query encoder (tokenizer + transformer + pooling).
     pub encoder: AttrModule,
-    /// Index over the KG2 attribute table; hit indices are KG2 rows.
-    pub retriever: Box<dyn Retriever>,
+    /// Retriever over the KG2 attribute table; hit indices are KG2 rows.
+    pub retriever: ExactRetriever,
 }
 
 /// [`ModelState`] plus presentation data for responses.
@@ -41,15 +40,26 @@ impl ServeState {
     /// * `model_path` — tables from `sdea align --out`; serving ranks in
     ///   the attribute space (`h_a2`), the space queries embed into.
     /// * `encoder_path` — query encoder from `sdea align --encoder-out`.
-    /// * `index_path` — optional persisted `SDIX` index; loaded when it
-    ///   matches, (re)built and saved when absent or stale. `None` scans
-    ///   exactly without touching disk.
+    /// * `index_path` — must be `None`. Persisted retrieval indexes were
+    ///   removed, and `Some(_)` is an `InvalidInput` error, returned before
+    ///   any file is read. The parameter goes at the next edit of the
+    ///   benchmark package, which passes `None`.
     pub fn load(
         dataset_dir: &Path,
         model_path: &Path,
         encoder_path: &Path,
         index_path: Option<&Path>,
     ) -> io::Result<ServeState> {
+        if let Some(path) = index_path {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "persisted retrieval indexes were removed; serving always scans exactly \
+                     (got index path {})",
+                    path.display()
+                ),
+            ));
+        }
         let kg2 = sdea_kg::io::load_kg(
             &dataset_dir.join("rel_triples_2"),
             &dataset_dir.join("attr_triples_2"),
@@ -71,7 +81,7 @@ impl ServeState {
                 table.shape()[1]
             )));
         }
-        let retriever = build_index(&table, index_path)?;
+        let retriever = ExactRetriever::new(&table);
         let names: Vec<String> = (0..kg2.num_entities())
             .map(|i| kg2.entity_name(sdea_kg::EntityId(i as u32)).to_string())
             .collect();
@@ -79,15 +89,17 @@ impl ServeState {
     }
 }
 
-/// IVF with `nprobe = 0` probes every cluster, so the persisted index
-/// returns bit-identical scores to the exact scan — serving gets the
-/// warm-start of a saved index without an accuracy knob to misconfigure.
-fn build_index(table: &Tensor, index_path: Option<&Path>) -> io::Result<Box<dyn Retriever>> {
-    match index_path {
-        None => Ok(Box::new(sdea_index::ExactRetriever::new(table))),
-        Some(path) => {
-            let cfg = IndexConfig { kind: IndexKind::Ivf, ..IndexConfig::default() };
-            Ok(Box::new(IvfRetriever::load_or_build(path, table, &cfg)?))
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_index_path_is_rejected_before_any_file_is_read() {
+        let missing = Path::new("no/such/dir");
+        let err = ServeState::load(missing, missing, missing, Some(Path::new("x.sdix")))
+            .err()
+            .expect("an index path must be rejected");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains("x.sdix"), "{err}");
     }
 }

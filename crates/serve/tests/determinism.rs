@@ -5,23 +5,14 @@
 
 use sdea_core::attr_module::AttrModule;
 use sdea_core::SdeaConfig;
-use sdea_index::{ExactRetriever, Hit, IndexConfig, IndexKind, IvfRetriever, Retriever};
+use sdea_index::{ExactRetriever, Hit, Retriever};
 use sdea_serve::{BatchConfig, Batcher, ModelState};
 use sdea_tensor::par::with_thread_budget;
 use sdea_tensor::Rng;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Which serving stack a fixture builds; every variant must be equally
-/// batch-invisible.
-enum Stack {
-    /// Exact scan.
-    Exact,
-    /// Quantized IVF — the backend whose rescore pool is sized from `k`.
-    QuantizedIvf,
-}
-
-fn fixture_with(stack: Stack) -> (Arc<ModelState>, Vec<String>) {
+fn fixture() -> (Arc<ModelState>, Vec<String>) {
     let corpus: Vec<String> = (0..24)
         .map(|i| format!("city ville{i} population {} founded {}", 1000 * i, 1800 + i))
         .collect();
@@ -30,20 +21,9 @@ fn fixture_with(stack: Stack) -> (Arc<ModelState>, Vec<String>) {
     cfg.mlm_epochs = 0;
     let encoder = AttrModule::build(&cfg, &corpus, &mut rng);
     // Index the embeddings of the first 16 texts as the "KG2 table".
-    let table = encoder.embed_batch(&corpus[..16]);
-    let retriever: Box<dyn Retriever> = match stack {
-        Stack::QuantizedIvf => Box::new(IvfRetriever::build(
-            &table,
-            &IndexConfig { kind: IndexKind::Ivf, nlist: 4, nprobe: 2, quantize: true },
-        )),
-        Stack::Exact => Box::new(ExactRetriever::new(&table)),
-    };
+    let retriever = ExactRetriever::new(&encoder.embed_batch(&corpus[..16]));
     let queries: Vec<String> = corpus[16..].to_vec();
     (Arc::new(ModelState { encoder, retriever }), queries)
-}
-
-fn fixture() -> (Arc<ModelState>, Vec<String>) {
-    fixture_with(Stack::Exact)
 }
 
 /// Ground truth: embed all queries in one direct call and search once.
@@ -117,17 +97,15 @@ fn batching_is_bitwise_invisible_eight_threads() {
     check_at_budget(8);
 }
 
-/// Regression (quantized IVF): the backend sizes its exact-rescore pool
-/// from `k`, so answering a mixed-k batch with one max-k search and
-/// truncating per request is NOT bitwise faithful — a k=1 request could
-/// see different hits batched vs alone. The worker's per-distinct-k
-/// sub-searches must make every mixed-k batched answer bitwise equal to
-/// the same request running sequentially, at any thread budget.
+/// The worker answers a mixed-k batch with one search at the batch's
+/// largest k and cuts each request's row to its own k. Every mixed-k
+/// batched answer must be bitwise equal to the same request running
+/// alone, at any thread budget.
 #[test]
-fn mixed_k_quantized_batches_match_sequential_bitwise() {
+fn mixed_k_batches_match_sequential_bitwise() {
     for budget in [1usize, 8] {
         with_thread_budget(budget, || {
-            let (state, queries) = fixture_with(Stack::QuantizedIvf);
+            let (state, queries) = fixture();
             let ks: Vec<usize> =
                 [1usize, 3, 5, 2].iter().cycle().take(queries.len()).copied().collect();
             // Sequential reference: each request in its own batch.

@@ -18,8 +18,7 @@ fn serve_state() -> (ServeState, Vec<String>) {
     cfg.mlm_epochs = 0;
     let encoder = AttrModule::build(&cfg, &corpus, &mut rng);
     let table = encoder.embed_batch(&corpus);
-    let retriever: Box<dyn sdea_index::Retriever> =
-        Box::new(sdea_index::ExactRetriever::new(&table));
+    let retriever = sdea_index::ExactRetriever::new(&table);
     let names: Vec<String> = (0..corpus.len()).map(|i| format!("kg2_entity_{i}")).collect();
     let state = ServeState { model: Arc::new(ModelState { encoder, retriever }), names };
     (state, corpus)

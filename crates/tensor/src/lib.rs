@@ -36,7 +36,6 @@ pub mod optim;
 pub mod ord;
 pub mod par;
 pub mod pool;
-pub mod qkernels;
 pub mod rng;
 pub mod serialize;
 pub mod sparse;

@@ -1,7 +1,7 @@
 //! The workspace-wide total order over `f32` scores.
 //!
 //! Every ranking, retrieval and matching path (top-k selection, argsort,
-//! Gale–Shapley preferences, IVF probe ordering) compares scores through
+//! Gale–Shapley preferences) compares scores through
 //! [`desc_nan_last`] so that NaN — from upstream numerical blow-ups or
 //! degenerate embeddings — can never panic a `partial_cmp().unwrap()` or
 //! silently outrank a real score. Defined here at the bottom of the crate

@@ -563,8 +563,8 @@ impl Tensor {
     /// against anything is exactly `0.0`, never NaN).
     ///
     /// This is *the* normalization helper for every similarity consumer —
-    /// `sdea_eval::cosine_matrix` and the `sdea-index` retrievers all call
-    /// it, so the zero-row convention and the exact operation sequence
+    /// `sdea_eval::cosine_matrix` and `sdea_index::ExactRetriever` both
+    /// call it, so the zero-row convention and the exact operation sequence
     /// (and therefore bit-identity between those paths) live in one place.
     /// A thin wrapper over [`Tensor::l2_normalize_rows`], which is also a
     /// differentiable graph op.

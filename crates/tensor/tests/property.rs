@@ -207,61 +207,4 @@ proptest! {
         let back = sdea_tensor::serialize::read_tensor(&mut &buf[..]).unwrap();
         prop_assert_eq!(back, t);
     }
-
-    /// Int8 quantization round-trip error is bounded by half a code step
-    /// per dimension, for arbitrary tables.
-    #[test]
-    fn quantize_round_trip_error_is_bounded(
-        rows in 1usize..8, cols in 1usize..10, seed in 0u64..10_000,
-    ) {
-        use sdea_tensor::qkernels::{dequantize_row, quantize_rows};
-        let mut rng = Rng::seed_from_u64(seed);
-        let t = Tensor::rand_normal(&[rows, cols], 1.5, &mut rng);
-        let (codes, params) = quantize_rows(t.data(), rows, cols);
-        for r in 0..rows {
-            let back = dequantize_row(&codes[r * cols..(r + 1) * cols], &params);
-            for (j, (&orig, &deq)) in t.row(r).iter().zip(&back).enumerate() {
-                let bound = 0.5 * params.scale[j] + 1e-6;
-                prop_assert!(
-                    (orig - deq).abs() <= bound,
-                    "row {} dim {}: |{} - {}| > {}", r, j, orig, deq, bound
-                );
-            }
-        }
-    }
-
-    /// The fused quantized dot product is bit-identical to the exact dot
-    /// against the dequantized row — the oracle the IVF re-scoring
-    /// correctness argument rests on.
-    #[test]
-    fn quantized_dot_matches_dequantized_oracle_bitwise(
-        rows in 1usize..6, cols in 1usize..12, seed in 0u64..10_000,
-    ) {
-        use sdea_tensor::qkernels::{dequantize_row, exact_dot, quantize_rows, quantized_dot};
-        let mut rng = Rng::seed_from_u64(seed);
-        let t = Tensor::rand_normal(&[rows, cols], 1.0, &mut rng);
-        let q = Tensor::rand_normal(&[1, cols], 1.0, &mut rng);
-        let (codes, params) = quantize_rows(t.data(), rows, cols);
-        for r in 0..rows {
-            let row = &codes[r * cols..(r + 1) * cols];
-            let fused = quantized_dot(q.row(0), row, &params);
-            let oracle = exact_dot(q.row(0), &dequantize_row(row, &params));
-            prop_assert_eq!(fused.to_bits(), oracle.to_bits(), "row {}", r);
-        }
-    }
-
-    /// Degenerate tables quantize losslessly: a constant dimension (zero
-    /// range) and all-zero rows reconstruct exactly.
-    #[test]
-    fn degenerate_dims_quantize_exactly(value in -3.0f32..3.0, rows in 1usize..6) {
-        use sdea_tensor::qkernels::{dequantize_row, quantize_rows};
-        // Column 0 constant at `value`, column 1 all zero.
-        let data: Vec<f32> = (0..rows).flat_map(|_| [value, 0.0]).collect();
-        let (codes, params) = quantize_rows(&data, rows, 2);
-        for r in 0..rows {
-            let back = dequantize_row(&codes[r * 2..(r + 1) * 2], &params);
-            prop_assert_eq!(back[0].to_bits(), value.to_bits(), "constant dim row {}", r);
-            prop_assert_eq!(back[1], 0.0, "zero dim row {}", r);
-        }
-    }
 }

@@ -64,17 +64,14 @@ cargo test -q --workspace --release
 # not perturb a single bit of any computed tensor at any thread count.
 # Every par_equivalence case fails unless its parallel run fanned out.
 # The sdea-lm suite pins an eval forward's real positions bitwise at every
-# padded length, the retrieval suite pins the nprobe=all exact bypass to
-# the exact backend, the oracle test pins blocked evaluation to the
-# matrix path, and the serve suite pins batch-invisibility of the
-# exact and quantized-IVF serving stacks, all bitwise.
+# padded length, the oracle test pins blocked evaluation to the matrix
+# path, and the serve suite pins that batching, including one search at
+# a mixed-k batch's largest k, is invisible in every answer, all bitwise.
 for threads in 1 8; do
   echo "=== budget equivalence: SDEA_THREADS=$threads SDEA_OBS=1 ==="
   SDEA_OBS=1 SDEA_THREADS="$threads" cargo test -q --release \
     -p sdea-tensor -p sdea-eval -p sdea-core --test par_equivalence
   SDEA_OBS=1 SDEA_THREADS="$threads" cargo test -q --release -p sdea-lm
-  SDEA_OBS=1 SDEA_THREADS="$threads" cargo test -q --release \
-    -p sdea-index --test equivalence
   SDEA_OBS=1 SDEA_THREADS="$threads" cargo test -q --release -p sdea-serve --test determinism
   run_oracle_test SDEA_OBS=1 SDEA_THREADS="$threads"
 done
@@ -84,12 +81,6 @@ done
 # including a pipeline run is scripts/bench_kernels.sh.
 echo "=== kernel throughput (quick) ==="
 ./target/release/bench_kernels --kernels-only
-
-# Retrieval-layer smoke (seconds): small-world IVF sweep with bitwise
-# nprobe=all assertions, written to results/BENCH_index_smoke.json. The
-# full recall/speedup curve is scripts/bench_index.sh.
-echo "=== retrieval index smoke ==="
-./target/release/bench_index --smoke
 
 # Memory scaling smoke (seconds): blocked evaluation vs the full
 # similarity matrix at two small scale points, asserting bitwise-equal
