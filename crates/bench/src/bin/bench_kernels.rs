@@ -2,10 +2,12 @@
 //!
 //! Measures single-thread GFLOP/s of the register-tiled matmul against the
 //! pre-tiling naive kernel (`sdea_tensor::kernels::reference`) at square
-//! sizes {128, 256, 512}, optionally runs one quick-scale FR-EN pipeline at
-//! the current thread budget, and writes everything — kernel numbers, stage
-//! wall times pulled from the observability span registry, and final
-//! alignment metrics — to `results/BENCH_pr3.json`.
+//! sizes {128, 256, 512}, and single-thread GELU throughput of
+//! `Graph::gelu` against the same formula through libm's `f32::tanh`;
+//! optionally runs one quick-scale FR-EN pipeline at the current thread
+//! budget, and writes everything — kernel numbers, stage wall times pulled
+//! from the observability span registry, and final alignment metrics — to
+//! `results/BENCH_pr3.json`.
 //!
 //! Usage: `bench_kernels [--kernels-only]`. The `--kernels-only` mode is
 //! what `scripts/ci.sh` runs (seconds, not minutes); `scripts/bench_kernels.sh`
@@ -17,7 +19,7 @@ use sdea_bench::runner::{bench_sdea_config, bench_seed, load_dataset, report_dir
 use sdea_core::rel_module::RelVariant;
 use sdea_obs::json::Json;
 use sdea_synth::DatasetProfile;
-use sdea_tensor::{kernels, with_thread_budget, Rng, Tensor};
+use sdea_tensor::{kernels, with_thread_budget, Graph, Rng, Tensor};
 use std::time::Instant;
 
 /// Times `f` adaptively: repeats until ~200 ms elapsed, three rounds, and
@@ -74,6 +76,57 @@ fn bench_kernels_json() -> Json {
         ]));
     }
     Json::Arr(rows)
+}
+
+/// GELU as `Graph::gelu` computed it through libm's `f32::tanh`.
+fn gelu_libm(x: f32) -> f32 {
+    const C: f32 = 0.797_884_6;
+    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
+}
+
+/// Single-thread GELU throughput in elements per second: the libm formula
+/// against `Graph::gelu` (forward, one 64 × 1024 feed-forward activation
+/// of N(0, 2²) pre-activations). Exits 1 unless the two outputs are
+/// bitwise equal, which holds where libm's `tanhf` is fdlibm's.
+fn bench_gelu_json() -> Json {
+    let mut rng = Rng::seed_from_u64(4);
+    let x = Tensor::rand_normal(&[64, 1024], 2.0, &mut rng);
+    let kernel = || {
+        let g = Graph::new();
+        let v = g.constant(x.clone());
+        g.value_cloned(g.gelu(v))
+    };
+    let libm = x.map(gelu_libm);
+    let bitwise = libm.data().iter().zip(kernel().data()).all(|(a, b)| a.to_bits() == b.to_bits());
+    if !bitwise {
+        eprintln!("gelu: Graph::gelu differs from the libm formula");
+        std::process::exit(1);
+    }
+    let (libm_secs, kernel_secs) = with_thread_budget(1, || {
+        let l = best_secs(|| {
+            std::hint::black_box(x.map(gelu_libm));
+        });
+        let k = best_secs(|| {
+            std::hint::black_box(kernel());
+        });
+        (l, k)
+    });
+    let n = x.len() as f64;
+    let (libm_rate, kernel_rate) = (n / libm_secs, n / kernel_secs);
+    println!(
+        "gelu {n} elems  libm tanh {:6.1} Melem/s   kernel {:6.1} Melem/s   speedup {:4.2}x",
+        libm_rate / 1e6,
+        kernel_rate / 1e6,
+        libm_secs / kernel_secs
+    );
+    Json::obj(vec![
+        ("elements", Json::Num(n)),
+        ("libm_secs", Json::Num(libm_secs)),
+        ("kernel_secs", Json::Num(kernel_secs)),
+        ("libm_elems_per_s", Json::Num(libm_rate)),
+        ("kernel_elems_per_s", Json::Num(kernel_rate)),
+        ("speedup", Json::Num(libm_secs / kernel_secs)),
+    ])
 }
 
 /// The pre-optimization pipeline wall time to compare against. Prefers the
@@ -141,6 +194,7 @@ fn main() {
     let mut fields = vec![
         ("bench", Json::str("bench_kernels_pr3")),
         ("kernels_single_thread", bench_kernels_json()),
+        ("gelu_single_thread", bench_gelu_json()),
     ];
     if !kernels_only {
         fields.push(("pipeline_quick", bench_pipeline_json()));

@@ -11,7 +11,7 @@ pub const VALID_BLOCK_ROWS: usize = 512;
 /// Configuration of the full SDEA pipeline.
 ///
 /// Paper values (Section V-A3) with our CPU-scale defaults in parentheses:
-/// BERT max input 128 (40), attribute batch size 8 (8), relation batch size
+/// BERT max input 128 (96), attribute batch size 8 (8), relation batch size
 /// 256 (128), early-stopping patience 5 validations (5), split 2:1:7 (same).
 #[derive(Clone, Debug)]
 pub struct SdeaConfig {

@@ -11,6 +11,9 @@
 //! The `check_*` functions hold the actual policy and are pure (no process
 //! exit), so tests pin the accepted/rejected value sets; the `*_or_exit`
 //! wrappers are what startup paths call.
+//!
+//! Command lines follow the same rule: [`parse_flags`] accepts only the
+//! flags a command knows, so a mistyped flag is an error, not a default.
 
 use std::str::FromStr;
 
@@ -63,6 +66,35 @@ pub fn check_enum(
         Some(&a) => Ok(Some(a)),
         None => Err(format!("invalid {var}={raw:?}: expected one of {}", allowed.join("/"))),
     }
+}
+
+/// The `(flag, value)` pairs of the arguments after a command's
+/// positionals. Each must be one of `valued` followed by its value, or one
+/// of `switches` (recorded with an empty value); anything else, or a
+/// valued flag with nothing after it, is an error naming it.
+pub fn parse_flags<'a>(
+    rest: &'a [String],
+    valued: &[&str],
+    switches: &[&str],
+) -> Result<Vec<(&'a str, &'a str)>, String> {
+    let mut flags = Vec::new();
+    let mut it = rest.iter();
+    while let Some(arg) = it.next() {
+        if valued.contains(&arg.as_str()) {
+            let value = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
+            flags.push((arg.as_str(), value.as_str()));
+        } else if switches.contains(&arg.as_str()) {
+            flags.push((arg.as_str(), ""));
+        } else {
+            return Err(format!("unexpected argument {arg:?}"));
+        }
+    }
+    Ok(flags)
+}
+
+/// The value of flag `name` in `flags` (its first occurrence).
+pub fn flag<'a>(flags: &[(&str, &'a str)], name: &str) -> Option<&'a str> {
+    flags.iter().find(|&&(f, _)| f == name).map(|&(_, v)| v)
 }
 
 /// Prints `msg` with the standard prefix and exits with [`ENV_EXIT_CODE`].
@@ -127,6 +159,25 @@ pub fn string_or_exit(var: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_flags_accepts_only_known_flags_with_their_values() {
+        let args = |s: &[&str]| s.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let ok = args(&["--k", "3", "--raw", "--k", "4"]);
+        let flags = parse_flags(&ok, &["--k"], &["--raw"]).unwrap();
+        assert_eq!(flags, vec![("--k", "3"), ("--raw", ""), ("--k", "4")]);
+        assert_eq!(flag(&flags, "--k"), Some("3"));
+        assert_eq!(flag(&flags, "--raw"), Some(""));
+        assert_eq!(flag(&flags, "--top"), None);
+        for (bad, named) in [
+            (args(&["--top", "3"]), "--top"),
+            (args(&["--k"]), "--k"),
+            (args(&["--k", "3", "extra"]), "extra"),
+        ] {
+            let err = parse_flags(&bad, &["--k"], &["--raw"]).unwrap_err();
+            assert!(err.contains(named), "{bad:?}: {err}");
+        }
+    }
 
     #[test]
     fn unset_and_blank_mean_default() {

@@ -14,8 +14,8 @@
 //!
 //! Flags: `--smoke` (fewer requests, CI-friendly), `--requests N`
 //! (per-thread request count), `--levels a,b,...` (concurrency levels).
-//! A malformed or missing value for `--requests` or `--levels` exits 2
-//! naming the flag, before the fixture trains.
+//! An unknown argument, or a malformed or missing value for `--requests`
+//! or `--levels`, exits 2 naming it, before the fixture trains.
 
 #![forbid(unsafe_code)]
 
@@ -28,8 +28,7 @@ use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let (per_thread, levels) = match load_shape(&args, smoke) {
+    let (smoke, per_thread, levels) = match load_shape(&args) {
         Ok(shape) => shape,
         Err(msg) => {
             eprintln!("bench_serve: {msg}");
@@ -99,26 +98,18 @@ fn main() {
     println!("wrote {}", out.display());
 }
 
-/// The value after `flag`, if the flag is present; a flag with nothing
-/// after it is an error.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => {
-            args.get(i + 1).map(|v| Some(v.as_str())).ok_or_else(|| format!("{flag} needs a value"))
-        }
-    }
-}
-
-/// `(requests per thread, concurrency levels)` from `--requests` and
-/// `--levels`, each parsed strictly.
-fn load_shape(args: &[String], smoke: bool) -> Result<(usize, Vec<usize>), String> {
-    use sdea_obs::env::check_parse;
+/// `(smoke, requests per thread, concurrency levels)` from the command
+/// line: `--smoke`, and `--requests` and `--levels` each parsed strictly.
+/// Any other argument is an error naming it.
+fn load_shape(args: &[String]) -> Result<(bool, usize, Vec<usize>), String> {
+    use sdea_obs::env::{check_parse, flag, parse_flags};
+    let flags = parse_flags(args, &["--requests", "--levels"], &["--smoke"])?;
+    let smoke = flag(&flags, "--smoke").is_some();
     let per_thread =
-        check_parse::<usize>("--requests", flag_value(args, "--requests")?, "a request count")?
+        check_parse::<usize>("--requests", flag(&flags, "--requests"), "a request count")?
             .unwrap_or(if smoke { 20 } else { 200 });
-    let Some(raw) = flag_value(args, "--levels")? else {
-        return Ok((per_thread, vec![1, 4]));
+    let Some(raw) = flag(&flags, "--levels") else {
+        return Ok((smoke, per_thread, vec![1, 4]));
     };
     let expected = "comma-separated positive concurrency levels";
     let levels = raw
@@ -128,7 +119,7 @@ fn load_shape(args: &[String], smoke: bool) -> Result<(usize, Vec<usize>), Strin
             _ => Err(format!("invalid --levels={raw:?}: expected {expected}")),
         })
         .collect::<Result<_, String>>()?;
-    Ok((per_thread, levels))
+    Ok((smoke, per_thread, levels))
 }
 
 /// Trains the unit-test-sized model on a synthetic DBP15K-style dataset

@@ -22,6 +22,7 @@
 
 #![forbid(unsafe_code)]
 
+use sdea_obs::env::{flag, parse_flags};
 use sdea_serve::http;
 use sdea_serve::{BatchConfig, ServeState, Server};
 use std::path::Path;
@@ -45,35 +46,6 @@ fn main() {
         }
     };
     exit(code);
-}
-
-/// The `(flag, value)` pairs of the arguments after a subcommand's
-/// positionals. Each must be one of `valued` followed by its value, or
-/// one of `switches` (recorded with an empty value); anything else is an
-/// error naming it.
-fn parse_flags<'a>(
-    rest: &'a [String],
-    valued: &[&str],
-    switches: &[&str],
-) -> Result<Vec<(&'a str, &'a str)>, String> {
-    let mut flags = Vec::new();
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        if valued.contains(&arg.as_str()) {
-            let value = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
-            flags.push((arg.as_str(), value.as_str()));
-        } else if switches.contains(&arg.as_str()) {
-            flags.push((arg.as_str(), ""));
-        } else {
-            return Err(format!("unexpected argument {arg:?}"));
-        }
-    }
-    Ok(flags)
-}
-
-/// The value of flag `name` in `flags` (its first occurrence).
-fn flag<'a>(flags: &[(&str, &'a str)], name: &str) -> Option<&'a str> {
-    flags.iter().find(|&&(f, _)| f == name).map(|&(_, v)| v)
 }
 
 fn cmd_serve(args: &[String]) -> i32 {

@@ -31,4 +31,6 @@ fn bench_serve_parses_its_load_shape_strictly() {
     let bin = env!("CARGO_BIN_EXE_bench_serve");
     assert_rejected(bin, &["--smoke", "--requests", "5x"], "--requests");
     assert_rejected(bin, &["--smoke", "--levels", "1,x"], "--levels");
+    assert_rejected(bin, &["--smoke", "--request", "5"], "--request");
+    assert_rejected(bin, &["--smoke", "--levels"], "--levels");
 }

@@ -9,6 +9,7 @@
 //! [`Graph::param`] copies a parameter onto the tape and remembers the
 //! binding so [`Graph::accumulate_param_grads`] can push gradients back.
 
+use crate::fdlibm::tanhf;
 use crate::optim::{ParamId, ParamStore};
 use crate::pool::BufferPool;
 use crate::tensor::Tensor;
@@ -389,7 +390,7 @@ impl Graph {
     pub fn tanh(&self, a: Var) -> Var {
         self.unary(
             a,
-            |x| x.map(f32::tanh),
+            |x| x.map(tanhf),
             Box::new(|g, out, _| vec![Flow::Grad(g.zip(out, |gv, ov| gv * (1.0 - ov * ov)))]),
         )
     }
@@ -407,11 +408,11 @@ impl Graph {
     pub fn gelu(&self, a: Var) -> Var {
         const C: f32 = 0.797_884_6; // sqrt(2/pi)
         fn gelu_f(x: f32) -> f32 {
-            0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
+            0.5 * x * (1.0 + tanhf(C * (x + 0.044715 * x * x * x)))
         }
         fn dgelu_f(x: f32) -> f32 {
             let u = C * (x + 0.044715 * x * x * x);
-            let t = u.tanh();
+            let t = tanhf(u);
             let du = C * (1.0 + 3.0 * 0.044715 * x * x);
             0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
         }
@@ -727,6 +728,41 @@ mod tests {
         grad_check(&[2, 4], 8, |g, x| g.sum_all(g.tanh(x)), "tanh");
         grad_check(&[2, 4], 9, |g, x| g.sum_all(g.sigmoid(x)), "sigmoid");
         grad_check(&[2, 4], 10, |g, x| g.sum_all(g.gelu(x)), "gelu");
+    }
+
+    #[test]
+    fn gelu_and_tanh_equal_their_reference_formulas_bitwise() {
+        use crate::fdlibm::reference::tanhf;
+        const C: f32 = 0.797_884_6;
+        // Steps of 2^-12 over [-30, 30] reach every branch of tanhf, and of
+        // the expm1f under it, as both ops' argument; the rest are tiny,
+        // subnormal and non-finite inputs.
+        let mut xs: Vec<f32> = (-(30 << 12)..=30 << 12).map(|i| i as f32 / 4096.0).collect();
+        for x in [1e-20, 1e-30, f32::MIN_POSITIVE, 1e-40, 0.0, f32::INFINITY, f32::NAN] {
+            xs.extend([x, -x]);
+        }
+        let run = |op: fn(&Graph, Var) -> Var| {
+            let g = Graph::new();
+            let x = g.leaf(Tensor::from_vec(xs.clone(), &[xs.len()]), true);
+            let y = op(&g, x);
+            g.backward(g.sum_all(y));
+            (g.value_cloned(y), g.grad(x).unwrap())
+        };
+        let (gelu, dgelu) = run(Graph::gelu);
+        let (tanh, dtanh) = run(Graph::tanh);
+        let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        for (i, &x) in xs.iter().enumerate() {
+            let t = tanhf(C * (x + 0.044715 * x * x * x));
+            let du = C * (1.0 + 3.0 * 0.044715 * x * x);
+            for (what, got, want) in [
+                ("gelu", gelu.data()[i], 0.5 * x * (1.0 + t)),
+                ("gelu grad", dgelu.data()[i], 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du),
+                ("tanh", tanh.data()[i], tanhf(x)),
+                ("tanh grad", dtanh.data()[i], 1.0 - tanhf(x) * tanhf(x)),
+            ] {
+                assert!(same(got, want), "{what}({x:e}): {got:e} != reference {want:e}");
+            }
+        }
     }
 
     #[test]

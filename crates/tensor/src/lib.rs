@@ -26,6 +26,7 @@
 #![forbid(unsafe_code)]
 
 pub mod fault;
+mod fdlibm;
 pub mod graph;
 pub mod init;
 pub mod kernels;

@@ -4,20 +4,26 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The oracle test pins blocked evaluation, at every block height, to the
-# full-matrix evaluation, bitwise. A cargo test filter that matches
-# nothing passes silently, so this runs it by exact name and fails unless
-# it ran.
-# Arguments are environment assignments for the test process.
-ORACLE_TEST="metrics::tests::evaluate_blocked_matches_the_matrix_oracle"
-run_oracle_test() {
-  local out
-  out="$(env "$@" cargo test -q --release -p sdea-eval --lib -- --exact "$ORACLE_TEST" 2>&1)" \
+# A cargo test filter that matches nothing passes silently, so
+# run_exact_test runs one library test by exact name, ignored or not, and
+# fails unless it ran. Arguments: the package, the test, then environment
+# assignments for the test process.
+run_exact_test() {
+  local pkg="$1" name="$2" out
+  shift 2
+  out="$(env "$@" cargo test -q --release -p "$pkg" --lib -- --exact --include-ignored "$name" 2>&1)" \
     || { echo "$out"; return 1; }
   echo "$out"
   grep -q "test result: ok. 1 passed" <<<"$out" \
-    || { echo "ci.sh: $ORACLE_TEST did not run" >&2; return 1; }
+    || { echo "ci.sh: $name did not run" >&2; return 1; }
 }
+# The oracle test pins blocked evaluation, at every block height, to the
+# full-matrix evaluation, bitwise.
+ORACLE_TEST="metrics::tests::evaluate_blocked_matches_the_matrix_oracle"
+# The exhaustive test pins the tanh kernel behind Graph::gelu and
+# Graph::tanh to the scalar fdlibm reference on all 2^32 f32 inputs
+# (about a minute on 2 vCPUs; #[ignore]d in tier-1).
+TANH_TEST="fdlibm::tests::kernels_match_reference_on_every_f32"
 
 echo "=== cargo fmt --check ==="
 cargo fmt --all --check
@@ -60,6 +66,9 @@ echo "=== tier-1: release build + tests ==="
 cargo build --workspace --release
 cargo test -q --workspace --release
 
+echo "=== exhaustive tanh kernel check ==="
+run_exact_test sdea-tensor "$TANH_TEST"
+
 # Budget equivalence with observability on: the instrumentation layer must
 # not perturb a single bit of any computed tensor at any thread count.
 # Every par_equivalence case fails unless its parallel run fanned out.
@@ -73,7 +82,7 @@ for threads in 1 8; do
     -p sdea-tensor -p sdea-eval -p sdea-core --test par_equivalence
   SDEA_OBS=1 SDEA_THREADS="$threads" cargo test -q --release -p sdea-lm
   SDEA_OBS=1 SDEA_THREADS="$threads" cargo test -q --release -p sdea-serve --test determinism
-  run_oracle_test SDEA_OBS=1 SDEA_THREADS="$threads"
+  run_exact_test sdea-eval "$ORACLE_TEST" SDEA_OBS=1 SDEA_THREADS="$threads"
 done
 
 # Quick kernel throughput check (seconds): tiled vs. reference matmul

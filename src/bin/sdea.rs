@@ -23,14 +23,18 @@
 //!   used by CI to prove the served answer matches this path.
 //! * `profiles` — list available dataset profiles.
 //!
-//! A malformed numeric flag value (`--links 40x`) exits 2 with a message
-//! naming the flag; it never falls back to the default.
+//! Each subcommand takes its positionals first, then only the flags listed
+//! above. An unknown flag (`--sede 7`), an extra positional, a flag with no
+//! value or a malformed numeric value (`--links 40x`) exits 2 with a
+//! message naming it, before anything is read or written; nothing falls
+//! back to a default.
 //!
 //! Dataset directory layout (`generate` writes, `align`/`rank` read):
 //! `rel_triples_1  attr_triples_1  rel_triples_2  attr_triples_2  ent_links`.
 
 #![forbid(unsafe_code)]
 
+use sdea::obs::env::{flag, parse_flags};
 use sdea::prelude::*;
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
@@ -76,19 +80,28 @@ const PROFILES: &[(&str, &str)] = &[
     ("d_w", "OpenEA D-W V1: sparse, Wikidata Q-id names"),
 ];
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
+/// The flags of subcommand `cmd`, from `rest`, its arguments after the
+/// positionals: exit 2 naming an argument that is not one of `valued` with
+/// a value or one of `switches`.
+fn flags_or_exit<'a>(
+    cmd: &str,
+    rest: &'a [String],
+    valued: &[&str],
+    switches: &[&str],
+) -> Vec<(&'a str, &'a str)> {
+    parse_flags(rest, valued, switches).unwrap_or_else(|msg| {
+        eprintln!("sdea {cmd}: {msg}");
+        exit(2)
+    })
 }
 
 /// Parses the value of a numeric flag: `None` when the flag is absent,
 /// exit 2 with a message naming the flag when its value is malformed.
-fn numeric_flag<T: FromStr>(args: &[String], flag: &str, expected: &str) -> Option<T> {
-    sdea::obs::env::check_parse(flag, flag_value(args, flag).as_deref(), expected).unwrap_or_else(
-        |msg| {
-            eprintln!("sdea: {msg}");
-            exit(2)
-        },
-    )
+fn numeric_flag<T: FromStr>(flags: &[(&str, &str)], name: &str, expected: &str) -> Option<T> {
+    sdea::obs::env::check_parse(name, flag(flags, name), expected).unwrap_or_else(|msg| {
+        eprintln!("sdea: {msg}");
+        exit(2)
+    })
 }
 
 fn profile_by_name(name: &str, links: usize, seed: u64) -> Option<DatasetProfile> {
@@ -106,16 +119,17 @@ fn profile_by_name(name: &str, links: usize, seed: u64) -> Option<DatasetProfile
 }
 
 fn cmd_generate(args: &[String]) -> i32 {
-    let (Some(profile_name), Some(dir)) = (args.first(), args.get(1)) else {
+    let [profile_name, dir, rest @ ..] = args else {
         eprintln!("usage: sdea generate <profile> <dir> [--links N] [--seed S] [--scale F]");
         return 2;
     };
-    let links = numeric_flag(args, "--links", "a non-negative integer").unwrap_or(300);
-    let seed = numeric_flag(args, "--seed", "an unsigned integer seed").unwrap_or(2022);
+    let flags = flags_or_exit("generate", rest, &["--links", "--seed", "--scale"], &[]);
+    let links = numeric_flag(&flags, "--links", "a non-negative integer").unwrap_or(300);
+    let seed = numeric_flag(&flags, "--seed", "an unsigned integer seed").unwrap_or(2022);
     // --scale F grows the profile F× (entities and triples scale
     // near-linearly with the link target; see DatasetProfile::scaled).
     let scale =
-        numeric_flag(args, "--scale", "an integer factor >= 1").map_or(1, NonZeroUsize::get);
+        numeric_flag(&flags, "--scale", "an integer factor >= 1").map_or(1, NonZeroUsize::get);
     let Some(profile) = profile_by_name(profile_name, links, seed) else {
         eprintln!("unknown profile {profile_name}; see `sdea profiles`");
         return 2;
@@ -154,15 +168,21 @@ fn load_dir(dir: &Path) -> std::io::Result<(KnowledgeGraph, KnowledgeGraph, Alig
 }
 
 fn cmd_align(args: &[String]) -> i32 {
-    let Some(dir) = args.first() else {
+    let [dir, rest @ ..] = args else {
         eprintln!(
             "usage: sdea align <dir> [--seed S] [--out model.sdt] [--encoder-out enc.sdqe] \
              [--matching] [--tiny] [--checkpoint <ckpt-dir>] [--ckpt-every N]"
         );
         return 2;
     };
-    let seed = numeric_flag(args, "--seed", "an unsigned integer seed").unwrap_or(2022);
-    let ckpt_every = numeric_flag(args, "--ckpt-every", "a non-negative integer");
+    let flags = flags_or_exit(
+        "align",
+        rest,
+        &["--seed", "--out", "--encoder-out", "--checkpoint", "--ckpt-every"],
+        &["--matching", "--tiny"],
+    );
+    let seed = numeric_flag(&flags, "--seed", "an unsigned integer seed").unwrap_or(2022);
+    let ckpt_every = numeric_flag(&flags, "--ckpt-every", "a non-negative integer");
     let (kg1, kg2, seeds) = match load_dir(Path::new(dir)) {
         Ok(x) => x,
         Err(e) => {
@@ -176,7 +196,7 @@ fn cmd_align(args: &[String]) -> i32 {
     corpus.extend(kg2.attr_triples().iter().map(|t| t.value.clone()));
     // --tiny trades quality for speed (the unit-test configuration):
     // smoke runs, and the kill-and-resume integration test.
-    let base = if args.iter().any(|a| a == "--tiny") {
+    let base = if flag(&flags, "--tiny").is_some() {
         SdeaConfig::test_tiny()
     } else {
         SdeaConfig::default()
@@ -185,7 +205,7 @@ fn cmd_align(args: &[String]) -> i32 {
     // --checkpoint enables crash-safe training: checkpoints land in the
     // directory, and a rerun pointed at the same directory resumes from
     // the last intact state, bit-identically.
-    cfg.checkpoint_dir = flag_value(args, "--checkpoint").map(PathBuf::from);
+    cfg.checkpoint_dir = flag(&flags, "--checkpoint").map(PathBuf::from);
     if let Some(every) = ckpt_every {
         cfg.checkpoint_every = every;
     }
@@ -216,17 +236,17 @@ fn cmd_align(args: &[String]) -> i32 {
     let result = model.align_test(&split.test);
     let m = result.metrics();
     println!("Hits@1 {:.1}%  Hits@10 {:.1}%  MRR {:.2}", m.hits1 * 100.0, m.hits10 * 100.0, m.mrr);
-    if args.iter().any(|a| a == "--matching") {
+    if flag(&flags, "--matching").is_some() {
         println!("Hits@1 with stable matching: {:.1}%", result.stable_matching_hits1() * 100.0);
     }
-    if let Some(out) = flag_value(args, "--out") {
-        if let Err(e) = sdea::core::model_io::save_model(&model, &out) {
+    if let Some(out) = flag(&flags, "--out") {
+        if let Err(e) = sdea::core::model_io::save_model(&model, out) {
             eprintln!("cannot save model: {e}");
             return 1;
         }
         println!("model saved to {out}");
     }
-    if let Some(out) = flag_value(args, "--encoder-out") {
+    if let Some(out) = flag(&flags, "--encoder-out") {
         // The encoder only exists when the attribute stage ran in this
         // process; a resume past attr_done has tables but no weights.
         let Some(module) = model.attr_module.as_ref() else {
@@ -236,7 +256,7 @@ fn cmd_align(args: &[String]) -> i32 {
             );
             return 1;
         };
-        if let Err(e) = sdea::core::encoder_io::save_encoder(module, &out) {
+        if let Err(e) = sdea::core::encoder_io::save_encoder(module, out) {
             eprintln!("cannot save encoder: {e}");
             return 1;
         }
@@ -246,16 +266,26 @@ fn cmd_align(args: &[String]) -> i32 {
 }
 
 fn cmd_rank(args: &[String]) -> i32 {
-    let query_text = flag_value(args, "--query");
-    let (Some(dir), Some(model_path)) = (args.first(), args.get(1)) else {
+    let [dir, model_path, rest @ ..] = args else {
         eprintln!(
             "usage: sdea rank <dir> <model.sdt> <entity-name> [--top K] [--attr]\n\
              \x20      sdea rank <dir> <model.sdt> --query <text> --encoder <enc.sdqe> [--top K]"
         );
         return 2;
     };
-    let top = numeric_flag(args, "--top", "a non-negative integer").unwrap_or(5);
-    let attr_space = args.iter().any(|a| a == "--attr");
+    // The entity name is the third positional; `--query` text replaces it.
+    let (entity, rest) = match rest {
+        [name, rest @ ..] if !name.starts_with("--") => (Some(name), rest),
+        _ => (None, rest),
+    };
+    let flags = flags_or_exit("rank", rest, &["--top", "--query", "--encoder"], &["--attr"]);
+    let query_text = flag(&flags, "--query");
+    if let (Some(name), Some(_)) = (entity, query_text) {
+        eprintln!("sdea rank: unexpected argument {name:?}: --query replaces the entity name");
+        return 2;
+    }
+    let top = numeric_flag(&flags, "--top", "a non-negative integer").unwrap_or(5);
+    let attr_space = flag(&flags, "--attr").is_some();
     let (kg1, kg2, _) = match load_dir(Path::new(dir)) {
         Ok(x) => x,
         Err(e) => {
@@ -274,20 +304,20 @@ fn cmd_rank(args: &[String]) -> i32 {
     // embedded through the saved encoder (the serving path's offline twin
     // — always attribute-space).
     let (src, dst_table, label) = if let Some(text) = query_text {
-        let Some(encoder_path) = flag_value(args, "--encoder") else {
+        let Some(encoder_path) = flag(&flags, "--encoder") else {
             eprintln!("--query needs --encoder <enc.sdqe> (from `sdea align --encoder-out`)");
             return 2;
         };
-        let encoder = match sdea::core::encoder_io::load_encoder(&encoder_path) {
+        let encoder = match sdea::core::encoder_io::load_encoder(encoder_path) {
             Ok(m) => m,
             Err(e) => {
                 eprintln!("cannot load encoder: {e}");
                 return 1;
             }
         };
-        (encoder.embed_one(&text), &model.h_a2, format!("{text:?}"))
+        (encoder.embed_one(text), &model.h_a2, format!("{text:?}"))
     } else {
-        let Some(entity) = args.get(2) else {
+        let Some(entity) = entity else {
             eprintln!("usage: sdea rank <dir> <model.sdt> <entity-name> [--top K] [--attr]");
             return 2;
         };
